@@ -15,8 +15,10 @@ registered solver backend — elliptical (the paper's regression), particle
 
 Run directly (``python benchmarks/bench_solvers.py``), as the CI gate
 (``python benchmarks/bench_solvers.py --smoke`` — one scenario, asserts
-every backend estimates with zero untyped errors, does not rewrite the
-committed report), or via pytest (``pytest benchmarks/bench_solvers.py -m
+every backend estimates with zero untyped errors and that no elliptical
+per-scenario median, taken over the committed seeds, is more than
+``ACCURACY_TOL_M`` worse than the committed report, which it does not
+rewrite), or via pytest (``pytest benchmarks/bench_solvers.py -m
 solvers``). EXPERIMENTS.md summarizes the committed numbers.
 """
 
@@ -46,6 +48,10 @@ REPORT_PATH = REPO_ROOT / "BENCH_solvers.json"
 
 SCENARIOS = tuple(range(1, 10))
 SEEDS = tuple(range(6))
+
+#: The smoke gate fails when an elliptical per-scenario median error is
+#: worse than the committed ``BENCH_solvers.json`` value by more than this.
+ACCURACY_TOL_M = 0.10
 
 
 def run_backend(
@@ -114,19 +120,44 @@ def run_full() -> Dict[str, object]:
     }
 
 
+def _committed() -> Dict[str, object]:
+    return json.loads(REPORT_PATH.read_text())
+
+
 def run_smoke() -> Dict[str, object]:
-    """The CI gate: one scenario, two seeds, every backend must estimate
-    with zero untyped errors. Small enough for a pull-request loop."""
+    """The CI gate: one scenario, every backend must estimate with zero
+    untyped errors. Small enough for a pull-request loop. Only the
+    elliptical row is compared with the committed report, so only it runs
+    over the report's seeds (its median then compares like for like); the
+    other backends keep two seeds."""
+    committed_seeds = tuple(_committed()["config"]["seeds"])
     return {
         "backends": [
-            run_backend(b, scenarios=(1,), seeds=(0, 1))
+            run_backend(b, scenarios=(1,),
+                        seeds=committed_seeds if b == "elliptical" else (0, 1))
             for b in available_backends()
         ],
     }
 
 
+def accuracy_regressions(report: Dict[str, object]) -> List[str]:
+    """Elliptical per-scenario medians more than ``ACCURACY_TOL_M`` worse
+    than the committed report, one message each."""
+    def elliptical(rep: Dict[str, object]) -> Dict[str, float]:
+        row = next(r for r in rep["backends"] if r["backend"] == "elliptical")
+        return row["per_scenario_median_m"]
+
+    base = elliptical(_committed())
+    return [
+        f"elliptical {name}: {median:.3f} m vs committed "
+        f"{base[name]:.3f} m (+{ACCURACY_TOL_M:.2f} m allowed)"
+        for name, median in elliptical(report).items()
+        if median > base[name] + ACCURACY_TOL_M
+    ]
+
+
 def _smoke_ok(report: Dict[str, object]) -> bool:
-    return all(
+    return not accuracy_regressions(report) and all(
         row["untyped_errors"] == 0 and row["n_estimates"] > 0
         for row in report["backends"]
     )
@@ -142,19 +173,23 @@ def test_bench_solvers_smoke():
         assert row["untyped_errors"] == 0, row
         assert row["n_estimates"] > 0, row
         assert row["error_median_m"] < 6.0, row
+    assert not accuracy_regressions(report)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="tiny CI gate: every backend estimates, zero "
-                             "untyped errors; does not rewrite "
-                             "BENCH_solvers.json")
+                             "untyped errors, elliptical accuracy within "
+                             f"+{ACCURACY_TOL_M:.2f} m of BENCH_solvers.json "
+                             "(which it does not rewrite)")
     args = parser.parse_args(argv)
 
     if args.smoke:
         report = run_smoke()
         print(json.dumps(report, indent=2))
+        for msg in accuracy_regressions(report):
+            print("accuracy regression:", msg)
         ok = _smoke_ok(report)
         print("smoke:", "OK" if ok else "FAILED")
         return 0 if ok else 1

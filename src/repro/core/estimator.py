@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro import obs, perf
 from repro.channel.pathloss import MIN_DISTANCE_M, rss_at
@@ -61,12 +60,25 @@ DEFAULT_N_GRID: np.ndarray = np.arange(1.2, 4.51, 0.05)
 #: system has 4 unknowns and noise demands real redundancy.
 MIN_SAMPLES = 8
 
-#: Natural log of 10, shared by the analytic warm-start Jacobian.
+#: Natural log of 10, shared by the analytic LM Jacobian.
 _LN10 = math.log(10.0)
 
-#: Gauss-Newton parameter bounds (x, h, Γ, n) — see :meth:`_refine`.
+#: Projected-LM parameter bounds (x, h, Γ, n). The position bounds reflect
+#: BLE's usable sensing range (~15 m, Sec. 7.5): beyond it the
+#: advertisements would not decode, so a solution out there is an artefact
+#: of a flat likelihood.
 _GN_LO = np.array([-18.0, -18.0, -95.0, 1.0])
 _GN_HI = np.array([18.0, 18.0, -25.0, 5.0])
+
+#: LM iteration caps: a warm fit starts next to its optimum, a cold fit
+#: refines every grid/heuristic seed from scratch.
+_WARM_MAX_ITER = 60
+_COLD_MAX_ITER = 200
+
+_NO_SOLVE = "no path-loss exponent yielded a valid solve"
+
+#: An ``(x, h, Γ, n)`` starting point for the LM refinement.
+Seed = Tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -239,7 +251,7 @@ class EllipticalEstimator:
         q: Sequence[float],
         rss: Sequence[float],
         warm: Optional[WarmStartState] = None,
-        extra_seeds: Sequence[Tuple[float, float, float, float]] = (),
+        extra_seeds: Sequence[Seed] = (),
     ) -> FitResult:
         """Joint fit over both axes (L-shaped or richer movement).
 
@@ -283,7 +295,8 @@ class EllipticalEstimator:
         disambiguation.
         """
         a = np.asarray(a, dtype=float)
-        res = self._fit_single_axis(-a, np.zeros_like(a), np.asarray(rss, float))
+        res = self._fit_cold(-a, np.zeros_like(a), np.asarray(rss, float),
+                             use_q=False)
         res.warm = self._warm_state_from(res, use_q=False, n_rows=len(a))
         mirror_warm = (dataclasses.replace(res.warm, h=-res.warm.h)
                        if res.warm is not None else None)
@@ -327,15 +340,14 @@ class EllipticalEstimator:
         rss: np.ndarray,
         use_q: bool,
         warm: Optional[WarmStartState],
-        extra_seeds: Tuple[Tuple[float, float, float, float], ...],
+        extra_seeds: Tuple[Seed, ...],
     ) -> FitResult:
         """Warm fast path when possible, cold full-grid path otherwise."""
         res: Optional[FitResult] = None
         if warm is not None and self._warm_usable(warm):
             res = self._fit_warm(p, q, rss, use_q, warm, extra_seeds)
         if res is None:
-            res = (self._fit_joint(p, q, rss) if use_q
-                   else self._fit_single_axis(p, q, rss))
+            res = self._fit_cold(p, q, rss, use_q)
         res.warm = self._warm_state_from(res, use_q, len(p))
         return res
 
@@ -354,8 +366,8 @@ class EllipticalEstimator:
         self,
         warm: WarmStartState,
         use_q: bool,
-        extra_seeds: Tuple[Tuple[float, float, float, float], ...],
-    ) -> List[Tuple[float, float, float, float]]:
+        extra_seeds: Tuple[Seed, ...],
+    ) -> List[Seed]:
         """Seed set for a warm fit: previous optimum ± one exponent step.
 
         Three seeds bracket the previous exponent inside the clipped grid
@@ -424,7 +436,7 @@ class EllipticalEstimator:
         rss: np.ndarray,
         use_q: bool,
         warm: WarmStartState,
-        extra_seeds: Tuple[Tuple[float, float, float, float], ...],
+        extra_seeds: Tuple[Seed, ...],
     ) -> Optional[FitResult]:
         """One warm solve — a batch of one through the shared lockstep
         kernel, so a sequential warm fit is bit-identical to the same
@@ -599,70 +611,6 @@ class EllipticalEstimator:
         predicted = np.array([rss_at(float(d), gamma, n) for d in l])
         return rss - predicted
 
-    def _refine(
-        self,
-        p: np.ndarray,
-        q: np.ndarray,
-        rss: np.ndarray,
-        x0: float,
-        h0: float,
-        gamma0: float,
-        n0: float,
-        fix_h_zero: bool = False,
-    ) -> Optional[Tuple[float, float, float, float, np.ndarray]]:
-        """Gauss–Newton refinement of (x, h, Γ, n) in the RSS domain.
-
-        The linearised solve of Eq. 4 puts the measurement noise inside the
-        regressor ``y = 10^(-RS/(5n))`` (an errors-in-variables setup that
-        shrinks the geometry), so it only serves as an initialiser; the
-        final estimate minimises Eq. 5's objective — squared RSS-domain
-        residuals — directly, where the noise sits in the response.
-        """
-
-        # Prior strength scales with sqrt(N) so it keeps pace with the data
-        # term instead of washing out on long traces.
-        root_n = math.sqrt(len(rss))
-
-        def residual_fn(theta: np.ndarray) -> np.ndarray:
-            x, h, gamma, n = theta
-            if fix_h_zero:
-                h = 0.0
-            l = np.maximum(np.hypot(x + p, h + q), 0.1)
-            rows = [rss - (gamma - 10.0 * n * np.log10(l))]
-            if self.gamma_prior is not None:
-                rows.append(
-                    np.array([
-                        root_n * (gamma - self.gamma_prior) / self.gamma_prior_sigma
-                    ])
-                )
-            if self.n_prior is not None:
-                rows.append(
-                    np.array([root_n * (n - self.n_prior) / self.n_prior_sigma])
-                )
-            return np.concatenate(rows)
-
-        theta0 = np.array([x0, h0, gamma0, n0])
-        # Position bounds reflect BLE's usable sensing range (~15 m,
-        # Sec. 7.5): beyond it the advertisements would not decode, so a
-        # solution out there is an artefact of a flat likelihood.
-        lo = np.array([-18.0, -18.0, -95.0, 1.0])
-        hi = np.array([18.0, 18.0, -25.0, 5.0])
-        theta0 = np.clip(theta0, lo + 1e-6, hi - 1e-6)
-        try:
-            sol = least_squares(
-                residual_fn, theta0, bounds=(lo, hi), max_nfev=200
-            )
-        except (ValueError, np.linalg.LinAlgError):
-            return None
-        x, h, gamma, n = (float(v) for v in sol.x)
-        if fix_h_zero:
-            h = 0.0
-        total_cost = float(np.sum(np.asarray(sol.fun) ** 2))
-        pos_std, cov_cond, cov_status = self._position_covariance(sol, len(rss))
-        # Report only the data residuals; prior rows stay in total_cost.
-        return (x, h, gamma, n, np.asarray(sol.fun)[: len(rss)], pos_std,
-                cov_cond, cov_status, total_cost)
-
     #: Position-std ceiling (metres). BLE's usable sensing range is ~15 m
     #: (Sec. 7.5), so an uncertainty beyond this says only "unobservable".
     POS_STD_CAP = 25.0
@@ -671,13 +619,6 @@ class EllipticalEstimator:
     #: as rank-deficient: solving them would report a confidently tiny std
     #: along a direction the walk geometry never observed.
     COND_LIMIT = 1e12
-
-    def _position_covariance(
-        self, sol, n_data: int
-    ) -> Tuple[float, Optional[float], str]:
-        """Position std from a scipy ``least_squares`` solution object."""
-        return self._covariance_from(
-            np.asarray(sol.jac), np.asarray(sol.fun), n_data)
 
     def _covariance_from(
         self, jac: np.ndarray, fun: np.ndarray, n_data: int
@@ -741,15 +682,16 @@ class EllipticalEstimator:
 
     def _initial_candidates(
         self, p: np.ndarray, q: np.ndarray, rss: np.ndarray, use_q: bool
-    ) -> List[Tuple[float, float, float, float]]:
+    ) -> List[Seed]:
         """(x, h, Γ, n) starting points for the nonlinear refinement.
 
         Collects the linearised solutions at a spread of exponents plus a
         range-heuristic seed (median RSS inverted at nominal parameters,
         beacon assumed broadside of the walk) so at least one initial point
-        sits in the right basin.
+        sits in the right basin. Without ``use_q`` every seed keeps h >= 0,
+        the straight-leg fit's canonical half-plane.
         """
-        seeds: List[Tuple[float, float, float, float]] = []
+        seeds: List[Seed] = []
         n_subset = np.asarray(self.n_grid, dtype=float)[
             :: max(1, len(self.n_grid) // 8)
         ]
@@ -775,10 +717,10 @@ class EllipticalEstimator:
         for scale in (1.0, 1.5):
             for angle in (0.0, math.pi / 4, -math.pi / 4, math.pi / 2,
                           -math.pi / 2):
-                seeds.append(
-                    (d0 * scale * math.cos(angle), d0 * scale * math.sin(angle),
-                     nominal_gamma, nominal_n)
-                )
+                h0 = d0 * scale * math.sin(angle)
+                seeds.append((d0 * scale * math.cos(angle),
+                              h0 if use_q else abs(h0),
+                              nominal_gamma, nominal_n))
         return seeds
 
     def _fit_linearized(
@@ -799,8 +741,7 @@ class EllipticalEstimator:
             self.n_grid if n_values is None else n_values, dtype=float)
         valid, x, h, g, eps = self._solve_grid(p, q, rss, n_values, use_q)
         if not np.any(valid):
-            raise DegenerateGeometryError(
-                "no path-loss exponent yielded a valid solve")
+            raise DegenerateGeometryError(_NO_SOLVE)
 
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             # Recover the lateral offset where the solve left it implicit.
@@ -833,8 +774,7 @@ class EllipticalEstimator:
         cost = np.where(valid & np.isfinite(cost), cost, np.inf)
         best_idx = int(np.argmin(cost))
         if not np.isfinite(cost[best_idx]):
-            raise DegenerateGeometryError(
-                "no path-loss exponent yielded a valid solve")
+            raise DegenerateGeometryError(_NO_SOLVE)
         xb, hb = float(x[best_idx]), float(h[best_idx])
         return FitResult(
             position=Vec2(xb, hb),
@@ -887,82 +827,28 @@ class EllipticalEstimator:
                     g=g,
                 )
         if best is None:
-            raise DegenerateGeometryError(
-                "no path-loss exponent yielded a valid solve")
+            raise DegenerateGeometryError(_NO_SOLVE)
         return best
 
-    def _fit_joint(
-        self, p: np.ndarray, q: np.ndarray, rss: np.ndarray
+    def _fit_cold(
+        self, p: np.ndarray, q: np.ndarray, rss: np.ndarray, use_q: bool
     ) -> FitResult:
-        if not self.refine:
-            return self._fit_linearized(p, q, rss, use_q=True)
-        best: Optional[FitResult] = None
-        best_cost = math.inf
-        seeds = self._initial_candidates(p, q, rss, use_q=True)
-        for x0, h0, gamma0, n0 in seeds:
-            refined = self._refine(p, q, rss, x0, h0, gamma0, n0)
-            if refined is None:
-                continue
-            x, h, gamma, n, resid, pos_std, cov_cond, cov_status, cost = refined
-            if cost < best_cost:
-                best_cost = cost
-                best = FitResult(
-                    position=Vec2(x, h),
-                    n=n,
-                    gamma=gamma,
-                    epsilon=10.0 ** (gamma / (5.0 * n)),
-                    residuals=resid,
-                    g=x * x + h * h,
-                    position_std=pos_std,
-                    solver="gauss-newton",
-                    n_candidates=len(seeds),
-                    cov_cond=cov_cond,
-                    cov_status=cov_status,
-                )
-        if best is None:
-            raise DegenerateGeometryError(
-                "no path-loss exponent yielded a valid solve")
-        self._report_covariance(best)
-        return best
+        """Full-grid cold fit: every :meth:`_initial_candidates` seed refined
+        in one lockstep LM batch, lowest total cost (priors included) wins.
 
-    def _fit_single_axis(
-        self, p: np.ndarray, q: np.ndarray, rss: np.ndarray
-    ) -> FitResult:
-        """Straight-leg fit: the lateral offset is identifiable only up to
-        sign, so we refine with h constrained non-negative and report the
-        mirrored solution as the Sec. 5.1 ambiguity."""
+        Without ``use_q`` (straight-leg fit) the lateral offset is identifiable only up to sign: the canonical
+        solution keeps h >= 0 and the mirror is the Sec. 5.1 ambiguity.
+        """
         if not self.refine:
-            return self._fit_linearized(p, q, rss, use_q=False)
-        best: Optional[FitResult] = None
-        best_cost = math.inf
-        seeds = self._initial_candidates(p, q, rss, use_q=False)
-        for x0, h0, gamma0, n0 in seeds:
-            refined = self._refine(p, q, rss, x0, abs(h0), gamma0, n0)
-            if refined is None:
-                continue
-            x, h, gamma, n, resid, pos_std, cov_cond, cov_status, cost = refined
-            h = abs(h)  # symmetric problem: canonical solution keeps h >= 0
-            if cost < best_cost:
-                best_cost = cost
-                best = FitResult(
-                    position=Vec2(x, h),
-                    n=n,
-                    gamma=gamma,
-                    epsilon=10.0 ** (gamma / (5.0 * n)),
-                    residuals=resid,
-                    mirror=Vec2(x, -h),
-                    g=x * x + h * h,
-                    position_std=pos_std,
-                    solver="gauss-newton",
-                    n_candidates=len(seeds),
-                    cov_cond=cov_cond,
-                    cov_status=cov_status,
-                )
-        if best is None:
-            raise DegenerateGeometryError(
-                "no path-loss exponent yielded a valid solve")
-        self._report_covariance(best)
-        return best
+            return self._fit_linearized(p, q, rss, use_q)
+        res = _lm_best_fits(
+            [(self, p, q, rss, use_q,
+              self._initial_candidates(p, q, rss, use_q))],
+            _COLD_MAX_ITER, "gauss-newton")[0]
+        if res is None:
+            raise DegenerateGeometryError(_NO_SOLVE)
+        self._report_covariance(res)
+        return res
 
 
 @dataclass
@@ -978,20 +864,21 @@ class FitRequest:
     q: Sequence[float]
     rss: Sequence[float]
     warm: Optional[WarmStartState] = None
-    extra_seeds: Tuple[Tuple[float, float, float, float], ...] = ()
+    extra_seeds: Tuple[Seed, ...] = ()
     estimator: Optional[EllipticalEstimator] = None
 
 
-def _warm_residuals(
+def _lm_residuals(
     theta: np.ndarray, p: np.ndarray, q: np.ndarray, rss: np.ndarray,
     gp: np.ndarray, wg: np.ndarray, npr: np.ndarray, wn: np.ndarray,
 ) -> np.ndarray:
     """Stacked RSS-domain + prior residuals, shape ``(B, N + 2)``.
 
-    Row layout matches :meth:`EllipticalEstimator._refine`: N data rows,
-    then the Γ-prior row, then the n-prior row (weight 0 when the prior is
-    absent, so every batch member has the same row count — a requirement
-    for per-slice bit-identical reductions).
+    Row layout: N data rows, then the Γ-prior row, then the n-prior row.
+    Prior strength scales with sqrt(N) (``wg``/``wn``) so it keeps pace
+    with the data term instead of washing out on long traces; an absent
+    prior has weight 0, so every batch member has the same row count — a
+    requirement for per-slice bit-identical reductions.
     """
     x = theta[:, 0:1]
     h = theta[:, 1:2]
@@ -1004,11 +891,11 @@ def _warm_residuals(
     return np.concatenate([r_data, r_pg, r_pn], axis=1)
 
 
-def _warm_jacobian(
+def _lm_jacobian(
     theta: np.ndarray, p: np.ndarray, q: np.ndarray,
     wg: np.ndarray, wn: np.ndarray,
 ) -> np.ndarray:
-    """Analytic Jacobian of :func:`_warm_residuals`, shape ``(B, N+2, 4)``."""
+    """Analytic Jacobian of :func:`_lm_residuals`, shape ``(B, N+2, 4)``."""
     n_rows = p.shape[1]
     x = theta[:, 0:1]
     h = theta[:, 1:2]
@@ -1029,12 +916,12 @@ def _warm_jacobian(
     return j
 
 
-def _gn_warm_kernel(
+def _lm_kernel(
     theta0: np.ndarray, p: np.ndarray, q: np.ndarray, rss: np.ndarray,
     gp: np.ndarray, wg: np.ndarray, npr: np.ndarray, wn: np.ndarray,
-    max_iter: int = 60,
+    max_iter: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lockstep projected Levenberg-Marquardt over a batch of warm seeds.
+    """Lockstep projected Levenberg-Marquardt over a batch of seeds.
 
     Every operation is either elementwise, a reduction along the row axis of
     a C-contiguous array, or a batched per-slice LAPACK call — the exact set
@@ -1049,7 +936,7 @@ def _gn_warm_kernel(
     bit-identical).
     """
     theta_out = theta0.copy()
-    r_out = _warm_residuals(theta_out, p, q, rss, gp, wg, npr, wn)
+    r_out = _lm_residuals(theta_out, p, q, rss, gp, wg, npr, wn)
     cost_out = np.sum(r_out * r_out, axis=1)
     eye = np.eye(4)
 
@@ -1070,7 +957,7 @@ def _gn_warm_kernel(
     for _ in range(max_iter):
         if idx.size == 0:
             break
-        j = _warm_jacobian(theta, pp, qq, wgg, wnn)
+        j = _lm_jacobian(theta, pp, qq, wgg, wnn)
         jtj = np.sum(j[:, :, :, None] * j[:, :, None, :], axis=1)
         grad = np.sum(j * r[:, :, None], axis=1)
         finite = (np.isfinite(jtj).all(axis=(1, 2))
@@ -1085,7 +972,7 @@ def _gn_warm_kernel(
         except np.linalg.LinAlgError:
             break
         trial = np.clip(theta - step, _GN_LO, _GN_HI)
-        r_t = _warm_residuals(trial, pp, qq, ss, gpp, wgg, nprr, wnn)
+        r_t = _lm_residuals(trial, pp, qq, ss, gpp, wgg, nprr, wnn)
         cost_t = np.sum(r_t * r_t, axis=1)
         better = finite & np.isfinite(cost_t) & (cost_t < cost)
         theta = np.where(better[:, None], trial, theta)
@@ -1113,22 +1000,25 @@ def _gn_warm_kernel(
     return theta_out, r_out, cost_out
 
 
-def _solve_warm_group(
+def _lm_best_fits(
     items: Sequence[Tuple[EllipticalEstimator, np.ndarray, np.ndarray,
-                          np.ndarray, bool, WarmStartState,
-                          List[Tuple[float, float, float, float]]]],
-) -> List[Tuple[Optional[FitResult], str]]:
-    """Solve same-shape warm requests through one lockstep kernel.
+                          np.ndarray, bool, Sequence[Seed]]],
+    max_iter: int,
+    solver: str,
+) -> List[Optional[FitResult]]:
+    """Refine same-shape requests' seeds through one :func:`_lm_kernel` call.
 
-    Each item is ``(estimator, p, q, rss, use_q, warm, seeds)``; every item
-    must share the same window length and seed count (callers group by
-    those — ragged padding would regroup NumPy's pairwise summations and
-    break the bit-identity contract). Returns one ``(result, reason)`` pair
-    per item, ``result=None`` when the warm fit must be rejected.
+    Each item is ``(estimator, p, q, rss, use_q, seeds)``; every item must
+    share the same window length and seed count (callers group by those —
+    ragged padding would regroup NumPy's pairwise summations and break the
+    bit-identity contract). Per item the seed with the lowest total cost
+    (priors included) wins; its covariance comes from the analytic Jacobian
+    at the optimum. Returns one :class:`FitResult` per item, ``None`` when
+    every seed diverged.
     """
     n_items = len(items)
     n_rows = len(items[0][1])
-    n_seeds = len(items[0][6])
+    n_seeds = len(items[0][5])
     root_n = math.sqrt(n_rows)
 
     p = np.repeat(np.stack([it[1] for it in items]), n_seeds, axis=0)
@@ -1141,7 +1031,7 @@ def _solve_warm_group(
     npr = np.empty(total)
     wn = np.empty(total)
     theta0 = np.empty((total, 4))
-    for i, (est, _p, _q, _rss, _use_q, _warm, seeds) in enumerate(items):
+    for i, (est, _p, _q, _rss, _use_q, seeds) in enumerate(items):
         sl = slice(i * n_seeds, (i + 1) * n_seeds)
         gp[sl] = 0.0 if est.gamma_prior is None else est.gamma_prior
         wg[sl] = (0.0 if est.gamma_prior is None
@@ -1151,45 +1041,63 @@ def _solve_warm_group(
         theta0[sl] = np.clip(np.asarray(seeds, dtype=float),
                              _GN_LO + 1e-6, _GN_HI - 1e-6)
 
-    theta, r, cost = _gn_warm_kernel(theta0, p, q, rss, gp, wg, npr, wn)
-    j_final = _warm_jacobian(theta, p, q, wg, wn)
+    theta, r, cost = _lm_kernel(theta0, p, q, rss, gp, wg, npr, wn,
+                                max_iter=max_iter)
+    best = np.argmin(cost.reshape(n_items, n_seeds), axis=1)
+    best += np.arange(n_items) * n_seeds
+    j_best = _lm_jacobian(theta[best], p[best], q[best], wg[best], wn[best])
 
-    out: List[Tuple[Optional[FitResult], str]] = []
-    for i, (est, _p, _q, _rss, use_q, warm, _seeds) in enumerate(items):
-        sl = slice(i * n_seeds, (i + 1) * n_seeds)
-        k = i * n_seeds + int(np.argmin(cost[sl]))
+    out: List[Optional[FitResult]] = []
+    for i, (est, _p, _q, _rss, use_q, _seeds) in enumerate(items):
+        k = int(best[i])
         if not math.isfinite(float(cost[k])):
-            out.append((None, "diverged"))
+            out.append(None)
             continue
         x, h, gam, n = (float(v) for v in theta[k])
-        resid = r[k, :n_rows].copy()
-        rmse = float(np.sqrt(np.mean(resid * resid)))
-        limit = max(est.warm_blowup * warm.rss_rmse, est.warm_floor_db)
-        if not math.isfinite(rmse):
-            out.append((None, "diverged"))
-            continue
-        if rmse > limit:
-            out.append((None, "residual blow-up"))
-            continue
         pos_std, cov_cond, cov_status = est._covariance_from(
-            j_final[k], r[k], n_rows)
+            j_best[i], r[k], n_rows)
         if not use_q:
             h = abs(h)  # symmetric problem: canonical solution keeps h >= 0
-        res = FitResult(
+        out.append(FitResult(
             position=Vec2(x, h),
             n=n,
             gamma=gam,
             epsilon=10.0 ** (gam / (5.0 * n)),
-            residuals=resid,
+            residuals=r[k, :n_rows].copy(),
             mirror=None if use_q else Vec2(x, -h),
             g=x * x + h * h,
             position_std=pos_std,
-            solver="warm-start",
+            solver=solver,
             n_candidates=n_seeds,
             cov_cond=cov_cond,
             cov_status=cov_status,
-            warm_started=True,
-        )
+        ))
+    return out
+
+
+def _solve_warm_group(
+    items: Sequence[Tuple[EllipticalEstimator, np.ndarray, np.ndarray,
+                          np.ndarray, bool, WarmStartState, List[Seed]]],
+) -> List[Tuple[Optional[FitResult], str]]:
+    """Solve same-shape warm requests through one lockstep kernel.
+
+    Each item is ``(estimator, p, q, rss, use_q, warm, seeds)``. Returns
+    one ``(result, reason)`` pair per item, ``result=None`` when the warm
+    fit must be rejected.
+    """
+    fits = _lm_best_fits([(est, p, q, rss, use_q, seeds)
+                          for est, p, q, rss, use_q, _warm, seeds in items],
+                         _WARM_MAX_ITER, "warm-start")
+    out: List[Tuple[Optional[FitResult], str]] = []
+    for (est, *_rest, warm, _seeds), res in zip(items, fits):
+        if res is None:
+            out.append((None, "diverged"))
+            continue
+        limit = max(est.warm_blowup * warm.rss_rmse, est.warm_floor_db)
+        if res.rss_rmse > limit:
+            out.append((None, "residual blow-up"))
+            continue
+        res.warm_started = True
         est._report_covariance(res)
         perf.count("estimator.warm_fits")
         out.append((res, ""))
@@ -1212,7 +1120,9 @@ def fit_batch(
     sequential warm path is itself a batch of one through the same kernel,
     cold and rejected-warm requests fall back to the identical cold-path
     code, and grouping (rather than ragged padding) preserves per-slice
-    bit-exact reductions.
+    bit-exact reductions. Cold requests are not grouped: their window
+    length and seed count rarely coincide within a tick, so such groups
+    would almost always hold one request.
 
     With ``return_exceptions`` the failure of one request (e.g. degenerate
     geometry) becomes the exception object in its slot instead of

@@ -226,8 +226,13 @@ class TestFitBatchBitIdentity:
             _assert_fits_identical(s, b)
 
     def test_cold_requests_match_sequential_cold(self):
-        est, p, q, rss2, _warm = _pooled_request(40)
-        requests = [FitRequest(p=p, q=q, rss=rss2)] * 3
+        est = EllipticalEstimator()
+        rng = np.random.default_rng(77)
+        requests = []
+        for n_samples in (40, 40, 40, 40, 30, 30, 30):
+            _est, p, q, rss2, _warm = _pooled_request(n_samples)
+            rss3 = rss2 + rng.normal(0.0, 0.3, rss2.shape)
+            requests.append(FitRequest(p=p, q=q, rss=rss3))
         seq = [est.fit(r.p, r.q, r.rss) for r in requests]
         bat = fit_batch(requests, default_estimator=est)
         for s, b in zip(seq, bat):
@@ -246,21 +251,27 @@ class TestFitBatchBitIdentity:
             fit_batch([good, bad], default_estimator=est)
 
     def test_rejected_warm_in_batch_matches_sequential_rejection(self):
-        est, p, q, rss2, _warm = _pooled_request(40)
+        _est, p, q, rss2, _warm = _pooled_request(40)
         stale = WarmStartState(x=-9.0, h=14.0, gamma=-90.0, n=4.4,
                                rss_rmse=0.01)
-        req = FitRequest(p=p, q=q, rss=rss2, warm=stale)
+        # No rejection floor: every noisy warm fit blows past 2 x 0.01 dB.
+        est = EllipticalEstimator(warm_floor_db=0.0)
+        rng = np.random.default_rng(78)
+        requests = [FitRequest(p=p, q=q, warm=stale,
+                               rss=rss2 + rng.normal(0.0, 0.3, rss2.shape))
+                    for _ in range(4)]
+        seq = [est.fit(r.p, r.q, r.rss, warm=stale) for r in requests]
         obs.reset()
         before = perf.counter_value("estimator.warm_rejected")
-        bat = fit_batch([req], default_estimator=est)
+        bat = fit_batch(requests, default_estimator=est)
         after = perf.counter_value("estimator.warm_rejected")
         rejections = [e for e in obs.tail()
                       if e.name == "solver.warm_rejected"]
         obs.reset()
-        assert after - before == len(rejections) == 1
-        seq = est.fit(p, q, rss2, warm=stale)
-        assert not bat[0].warm_started
-        _assert_fits_identical(bat[0], seq)
+        assert after - before == len(rejections) == len(requests)
+        for s, b in zip(seq, bat):
+            assert not b.warm_started
+            _assert_fits_identical(b, s)
 
 
 class TestSlidingWindowRegressor:
