@@ -26,8 +26,8 @@ from repro.baselines.dartle import DartleRanger
 from repro.baselines.fingerprint import DistanceFingerprint, FingerprintLocator
 from repro.core.anf import AdaptiveNoiseFilter
 from repro.core.estimator import EllipticalEstimator
-from repro.core.particle import ParticleEstimator
 from repro.core.pipeline import LocBLE
+from repro.core.solvers import ParticleBackend
 from repro.errors import EstimationError, InsufficientDataError
 from repro.motion.deadreckoning import MotionTracker
 from repro.sim.simulator import BeaconSpec, Simulator
@@ -84,9 +84,9 @@ def _experiment():
             except (EstimationError, InsufficientDataError):
                 rows["locble"].append(10.0)
 
-            pf = ParticleEstimator(np.random.default_rng(seed))
-            pf.update_batch(p, q, filtered)
-            rows["particle"].append(pf.estimate().error_to(truth))
+            pf = ParticleBackend(seed=seed)
+            pf.observe(p, q, filtered)
+            rows["particle"].append(pf.solve().position.distance_to(truth))
 
             for key, fp in (("fp_fresh", fresh), ("fp_stale", stale)):
                 try:

@@ -1,10 +1,10 @@
-"""Solver-backend accuracy-vs-cost comparison on the Table-1 scenarios.
+"""Solver accuracy-vs-cost comparison on the Table-1 scenarios.
 
 Runs the same measurement sessions (all nine Table-1 environments, several
-seeds each) through :class:`~repro.core.pipeline.LocBLE` with each
-registered solver backend — elliptical (the paper's regression), particle
-(sequential Monte Carlo) and ekf (multi-hypothesis extended Kalman filter)
-— and writes ``BENCH_solvers.json`` at the repo root with, per backend:
+seeds each) through :class:`~repro.core.pipeline.LocBLE` with each solver
+in :data:`~repro.core.solvers.SOLVERS` — elliptical (the paper's
+regression) and particle (sequential Monte Carlo) — and writes
+``BENCH_solvers.json`` at the repo root with, per solver:
 
 * **accuracy**: median / mean / p90 location error across all scenarios
   and seeds, plus the per-scenario medians;
@@ -36,7 +36,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import LocBLE
-from repro.core.solvers import available_backends
+from repro.core.solvers import SOLVERS
 from repro.errors import ReproError
 from repro.world.scenarios import scenario
 
@@ -106,7 +106,7 @@ def run_backend(
 def run_full() -> Dict[str, object]:
     return {
         "description": (
-            "Accuracy-vs-cost comparison of the registered solver backends "
+            "Accuracy-vs-cost comparison of the solvers "
             "on the Table-1 stationary scenarios (same traces per backend)."
         ),
         "python": platform.python_version(),
@@ -116,7 +116,7 @@ def run_full() -> Dict[str, object]:
             "legs": list(DEFAULT_LEGS),
             "sanitize": "repair",
         },
-        "backends": [run_backend(b) for b in available_backends()],
+        "backends": [run_backend(b) for b in SOLVERS],
     }
 
 
@@ -135,7 +135,7 @@ def run_smoke() -> Dict[str, object]:
         "backends": [
             run_backend(b, scenarios=(1,),
                         seeds=committed_seeds if b == "elliptical" else (0, 1))
-            for b in available_backends()
+            for b in SOLVERS
         ],
     }
 

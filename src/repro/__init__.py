@@ -27,9 +27,8 @@ from repro.core import (
     EnvAwareClassifier,
     LocBLE,
     Navigator,
-    ParticleEstimator,
-    available_backends,
-    make_solver,
+    ParticleBackend,
+    SOLVERS,
 )
 from repro.fleet import FleetConfig, ShardRouter, TrackingFleet
 from repro.gateway import GatewayConfig, IngestionGateway
@@ -63,8 +62,8 @@ __version__ = "1.0.0"
 __all__ = [
     "DartleRanger", "ProximityEstimator", "ProximityZone",
     "AdaptiveNoiseFilter", "ClusteringCalibrator", "EllipticalEstimator",
-    "EnvAwareClassifier", "LocBLE", "Navigator", "ParticleEstimator",
-    "available_backends", "make_solver", "BeaconSpec",
+    "EnvAwareClassifier", "LocBLE", "Navigator", "ParticleBackend",
+    "SOLVERS", "BeaconSpec",
     "EnvDatasetBuilder", "FaultModel", "degradation_sweep",
     "EstimateDiagnostics", "SanitizationReport", "check_trace",
     "sanitize_trace", "MeasurementRecord", "Simulator", "EnvClass",

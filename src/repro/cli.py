@@ -36,6 +36,8 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.solvers import SOLVERS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="LocBLE reproduction: locate BLE beacons in simulation.",
@@ -48,9 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leg1", type=float, default=2.8)
     p.add_argument("--leg2", type=float, default=2.2)
     p.add_argument("--env-prior", choices=["auto", "off"], default="auto")
-    p.add_argument("--solver", choices=["elliptical", "particle", "ekf"],
+    p.add_argument("--solver", choices=SOLVERS,
                    default="elliptical",
-                   help="solver backend resolving the location")
+                   help="solver resolving the location")
 
     p = sub.add_parser("table1", help="per-environment accuracy sweep")
     p.add_argument("--seeds", type=int, default=3)
@@ -98,9 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spike-rate", type=float, default=0.0)
     p.add_argument("--spike-db", type=float, default=20.0)
     p.add_argument("--nan-rate", type=float, default=0.0)
-    p.add_argument("--solver", choices=["elliptical", "particle", "ekf"],
+    p.add_argument("--solver", choices=SOLVERS,
                    default="elliptical",
-                   help="solver backend the faulted trials solve with")
+                   help="solver the faulted trials solve with")
 
     p = sub.add_parser(
         "soak",

@@ -33,6 +33,7 @@ from repro.core.estimator import (
     WarmStartState,
 )
 from repro.core.incremental import SlidingWindowRegressor
+from repro.core.solvers import SOLVERS, ParticleBackend
 from repro.errors import (
     ConfigurationError,
     DataQualityError,
@@ -219,14 +220,13 @@ class LocBLE:
     #: report on the estimate's diagnostics. Fault-injection sweeps run in
     #: repair mode; interactive use keeps strict so bad logs surface loudly.
     sanitize: str = "strict"
-    #: Which solver backend resolves the location from the matched rows —
-    #: a name from :func:`repro.core.solvers.available_backends`. The
-    #: default ``"elliptical"`` keeps the paper's regression with its
-    #: warm-start and cross-session batching fast paths; ``"particle"``
-    #: and ``"ekf"`` route the solve through the corresponding
-    #: :class:`~repro.core.solvers.base.SolverBackend` (every upstream
-    #: pipeline stage — sanitization, dead reckoning, EnvAware, ANF —
-    #: is identical across backends).
+    #: Which solver resolves the location from the matched rows — a name
+    #: from :data:`repro.core.solvers.SOLVERS`. The default
+    #: ``"elliptical"`` keeps the paper's regression with its warm-start
+    #: and cross-session batching fast paths; ``"particle"`` routes the
+    #: solve through :class:`~repro.core.solvers.ParticleBackend` (every
+    #: upstream pipeline stage — sanitization, dead reckoning, EnvAware,
+    #: ANF — is identical across solvers).
     solver: str = "elliptical"
 
     def __post_init__(self) -> None:
@@ -234,12 +234,10 @@ class LocBLE:
             raise ConfigurationError(
                 f"sanitize must be 'strict' or 'repair', got {self.sanitize!r}"
             )
-        from repro.core.solvers import available_backends
-
-        if self.solver not in available_backends():
+        if self.solver not in SOLVERS:
             raise ConfigurationError(
                 f"unknown solver {self.solver!r}; "
-                f"available: {', '.join(available_backends())}"
+                f"available: {', '.join(SOLVERS)}"
             )
 
     @property
@@ -247,8 +245,8 @@ class LocBLE:
         """Whether this pipeline's solves can be stacked into ``fit_batch``.
 
         Only the elliptical regression has the cross-session batched path;
-        services fall back to per-session sequential solves for the other
-        backends.
+        services fall back to per-session sequential solves for the
+        particle filter.
         """
         return self.solver == "elliptical"
 
@@ -651,8 +649,8 @@ class LocBLE:
         warm: Optional[WarmStartState] = None,
         extra_seeds: Tuple[Tuple[float, float, float, float], ...] = (),
     ) -> LocationEstimate:
-        if self.solver != "elliptical":
-            return self._estimate_with_backend(ctx)
+        if self.solver == "particle":
+            return self._estimate_with_particles(ctx)
         estimator = self._resolve_estimator(ctx)
         with obs.span(
             "estimator.solve", component="pipeline", env=ctx.env_class
@@ -664,25 +662,23 @@ class LocBLE:
                         confidence=confidence)
         return self._finish_estimate(ctx, fit, confidence)
 
-    def _estimate_with_backend(self, ctx: EstimationContext) -> LocationEstimate:
-        """Solve via a registered non-elliptical backend.
+    def _estimate_with_particles(
+        self, ctx: EstimationContext
+    ) -> LocationEstimate:
+        """Solve with the particle filter.
 
-        A fresh backend (deterministically seeded) consumes this context's
+        A fresh filter (deterministically seeded) consumes this context's
         matched rows, so repeated solves over the same window are
         reproducible; the environment-resolved priors of the elliptical
-        path are handed to the backend so EnvAware shapes every solver the
-        same way. Warm-start state does not apply — the sequential
-        backends carry their own state between ``observe`` calls instead.
+        path are handed to the filter so EnvAware shapes both solvers the
+        same way. Warm-start state does not apply.
         """
-        from repro.core.solvers import make_solver
-
         estimator = self._resolve_estimator(ctx)
         with obs.span(
             "estimator.solve", component="pipeline", env=ctx.env_class,
             backend=self.solver,
         ) as sp:
-            backend = make_solver(
-                self.solver,
+            backend = ParticleBackend(
                 sanitize=self.sanitize,
                 seed=0,
                 gamma_prior=estimator.gamma_prior,

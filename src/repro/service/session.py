@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, Iterable, Optional
 from repro import obs, perf
 from repro.core.estimator import FitRequest, FitResult, WarmStartState
 from repro.core.pipeline import LocBLE, PreparedEstimate
+from repro.core.solvers import SOLVERS
 from repro.core.tracking import BeaconTracker, TrackState
 from repro.errors import (
     ConfigurationError,
@@ -106,8 +107,8 @@ class SessionConfig:
     default_fix_std: float = 2.0
     warm_start: bool = True
     warm_max_age_s: float = 30.0
-    #: Which solver backend the session's pipeline solves with (a name
-    #: from :func:`repro.core.solvers.available_backends`). Checkpoints
+    #: Which solver the session's pipeline solves with (a name from
+    #: :data:`repro.core.solvers.SOLVERS`). Checkpoints
     #: written before this field existed restore as ``"elliptical"`` —
     #: the only behaviour that existed then.
     solver: str = "elliptical"
@@ -116,12 +117,10 @@ class SessionConfig:
     backoff: BackoffConfig = field(default_factory=BackoffConfig)
 
     def __post_init__(self) -> None:
-        from repro.core.solvers import available_backends
-
-        if self.solver not in available_backends():
+        if self.solver not in SOLVERS:
             raise ConfigurationError(
                 f"unknown solver {self.solver!r}; "
-                f"available: {', '.join(available_backends())}"
+                f"available: {', '.join(SOLVERS)}"
             )
         if not (math.isfinite(self.window_s) and self.window_s > 0):
             raise ConfigurationError("window_s must be finite and > 0")
@@ -433,7 +432,7 @@ class TrackingSession:
             return None
 
         if not getattr(self.pipeline, "uses_batched_solver", True):
-            # Sequential-only backend (particle, EKF): there is no
+            # Sequential-only solver (particle): there is no
             # cross-session batched solve to join, so run the full solve
             # inline — outcome accounting is identical to :meth:`step`.
             self._attempt_solve(t, window, imu_window)

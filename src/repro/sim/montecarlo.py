@@ -38,10 +38,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverPipelineFactory:
-    """A picklable pipeline factory selecting a solver backend.
+    """A picklable pipeline factory selecting a solver.
 
     ``stationary_trials``/``degradation_sweep`` ship their pipeline factory
-    to worker processes, so a ``lambda: LocBLE(solver="ekf")`` closure
+    to worker processes, so a ``lambda: LocBLE(solver="particle")`` closure
     would silently force the serial path — this frozen dataclass is the
     process-pool-safe equivalent. Repair mode by default: fault sweeps
     feed deliberately dirty traces.

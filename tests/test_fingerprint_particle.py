@@ -1,11 +1,12 @@
-"""Tests for the fingerprinting baseline and the particle-filter estimator."""
+"""Tests for the fingerprinting baseline and the particle-filter solver."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.fingerprint import DistanceFingerprint, FingerprintLocator
 from repro.channel.pathloss import rss_at
-from repro.core.particle import ParticleEstimator
+from repro.core.confidence import estimation_confidence
+from repro.core.solvers import N_PARTICLES, ParticleBackend
 from repro.errors import (
     ConfigurationError,
     EstimationError,
@@ -105,55 +106,45 @@ class TestParticleEstimator:
         for seed in range(6):
             rng = np.random.default_rng(seed)
             p, q, rss = _l_walk_readings(rng)
-            pf = ParticleEstimator(rng)
-            pf.update_batch(p, q, rss)
-            est = pf.estimate()
-            errs.append(est.position.distance_to(Vec2(4.0, 3.0)))
+            pf = ParticleBackend(seed=seed)
+            pf.observe(p, q, rss)
+            errs.append(pf.solve().position.distance_to(Vec2(4.0, 3.0)))
         assert np.median(errs) < 2.0
 
     def test_uncertainty_shrinks_with_data(self, rng):
         p, q, rss = _l_walk_readings(rng)
-        pf = ParticleEstimator(rng)
-        pf.update_batch(p[:10], q[:10], rss[:10])
-        early_std = pf.estimate().position_std
-        pf.update_batch(p[10:], q[10:], rss[10:])
-        late_std = pf.estimate().position_std
+        pf = ParticleBackend()
+        pf.observe(p[:10], q[:10], rss[:10])
+        early_std = pf.solve().position_std
+        pf.observe(p[10:], q[10:], rss[10:])
+        late_std = pf.solve().position_std
         assert late_std < early_std
 
     def test_confidence_in_unit_interval(self, rng):
+        """The confidence the pipeline attaches to a particle fix."""
         p, q, rss = _l_walk_readings(rng)
-        pf = ParticleEstimator(rng)
-        pf.update_batch(p, q, rss)
-        assert 0.0 <= pf.estimate().confidence <= 1.0
+        pf = ParticleBackend()
+        pf.observe(p, q, rss)
+        assert 0.0 <= estimation_confidence(pf.solve().residuals) <= 1.0
 
     def test_estimates_pathloss_parameters(self, rng):
         p, q, rss = _l_walk_readings(rng, gamma=-62.0, n=2.4, noise=0.8)
-        pf = ParticleEstimator(rng, n_particles=3000)
-        pf.update_batch(p, q, rss)
-        est = pf.estimate()
-        assert est.gamma == pytest.approx(-62.0, abs=7.0)
-        assert est.n == pytest.approx(2.4, abs=0.8)
+        pf = ParticleBackend()
+        pf.observe(p, q, rss)
+        fit = pf.solve()
+        assert fit.gamma == pytest.approx(-62.0, abs=7.0)
+        assert fit.n == pytest.approx(2.4, abs=0.8)
 
     def test_resampling_keeps_ess_alive(self, rng):
         p, q, rss = _l_walk_readings(rng)
-        pf = ParticleEstimator(rng)
-        pf.update_batch(p, q, rss)
-        assert pf.effective_sample_size > 0.1 * pf.n_particles
+        pf = ParticleBackend()
+        pf.observe(p, q, rss)
+        assert pf.effective_sample_size > 0.1 * N_PARTICLES
 
-    def test_reset_restores_prior(self, rng):
-        p, q, rss = _l_walk_readings(rng)
-        pf = ParticleEstimator(rng)
-        pf.update_batch(p, q, rss)
-        pf.reset()
+    def test_no_data_raises(self):
         with pytest.raises(EstimationError):
-            pf.estimate()
+            ParticleBackend().solve()
 
-    def test_no_data_raises(self, rng):
-        with pytest.raises(EstimationError):
-            ParticleEstimator(rng).estimate()
-
-    def test_validation(self, rng):
+    def test_validation(self):
         with pytest.raises(ConfigurationError):
-            ParticleEstimator(rng, n_particles=10)
-        with pytest.raises(ConfigurationError):
-            ParticleEstimator(rng, rss_sigma_db=0.0)
+            ParticleBackend(sanitize="lenient")

@@ -1,17 +1,15 @@
-"""Regressions for the ParticleEstimator's silent posterior-wipe failures.
+"""Regressions for the particle filter's silent posterior-wipe failures.
 
-The historical bug (fixed in this change): one non-finite or wildly
-inconsistent reading drove ``update()`` into the degenerate-weight branch,
-which silently ``reset()`` the entire posterior **and** zeroed
-``_n_updates`` — so a later ``estimate()`` raised ``EstimationError("no
-readings assimilated yet")`` after hundreds of successful updates, with no
-event, no counter, and no typed diagnostics. These tests pin the new
-contract: bad readings are screened (typed in strict mode, skip-and-count
-in repair mode), the degenerate branch keeps the pre-update posterior and
-is loud, and ``estimate()`` keeps working after any rejected reading.
+The historical bug: one non-finite or wildly inconsistent reading drove
+the filter into the degenerate-weight branch, which silently re-seeded the
+entire posterior **and** zeroed the update count — so a later solve raised
+``EstimationError("no readings assimilated yet")`` after hundreds of
+successful updates, with no event, no counter, and no typed diagnostics.
+These tests pin the contract of :class:`~repro.core.solvers.ParticleBackend`:
+bad readings are screened (typed in strict mode, skip-and-count in repair
+mode), the degenerate branch keeps the pre-update posterior and is loud,
+and ``solve()`` keeps working after any rejected reading.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -20,8 +18,8 @@ from hypothesis import strategies as st
 
 from repro import obs, perf
 from repro.channel.pathloss import rss_at
-from repro.core.particle import ParticleEstimator
-from repro.errors import DataQualityError, EstimationError
+from repro.core.solvers import N_PARTICLES, ParticleBackend
+from repro.errors import DataQualityError
 
 TRUE = (4.0, 3.0)
 
@@ -37,12 +35,16 @@ def _l_walk_readings(rng, true=TRUE, gamma=-59.0, n=2.1, noise=1.5,
     return p, q, rss
 
 
-def _converged(seed=0, sanitize="strict") -> ParticleEstimator:
+def _converged(seed=0, sanitize="strict") -> ParticleBackend:
     rng = np.random.default_rng(seed)
     p, q, rss = _l_walk_readings(rng)
-    pf = ParticleEstimator(np.random.default_rng(seed), sanitize=sanitize)
-    pf.update_batch(p, q, rss)
+    pf = ParticleBackend(sanitize=sanitize, seed=seed)
+    pf.observe(p, q, rss)
     return pf
+
+
+def _n_assimilated(pf: ParticleBackend) -> int:
+    return len(pf.solve().residuals)
 
 
 @pytest.fixture(autouse=True)
@@ -55,51 +57,52 @@ def clean_obs():
 class TestPosteriorWipeRegression:
     def test_junk_reading_does_not_wipe_history(self):
         """The headline regression: the old code wiped the posterior and
-        the update counter on a single NaN, making estimate() crash with
+        the update count on a single NaN, making the next solve crash with
         "no readings assimilated yet" after dozens of good updates."""
         pf = _converged(sanitize="repair")
-        n_before = pf.n_updates
-        before = pf.estimate()
-        assert not pf.update(float("nan"), 0.0, -60.0)
-        assert pf.n_updates == n_before
-        after = pf.estimate()  # old code: EstimationError here
-        assert after.position.x == before.position.x
-        assert after.position.y == before.position.y
+        n_before = _n_assimilated(pf)
+        before = pf.solve()
+        assert pf.observe([float("nan")], [0.0], [-60.0]) == 0
+        assert _n_assimilated(pf) == n_before
+        after = pf.solve()  # old code: EstimationError here
+        assert after.position == before.position
 
-    def test_degenerate_weights_keep_pre_update_posterior(self, monkeypatch):
-        """Force the degenerate-weight branch itself (screening normally
-        stops anything that could reach it) and check it drops only the
-        offending reading — evented and counted, posterior intact."""
+    def test_degenerate_weights_keep_pre_update_posterior(self):
+        """A finite displacement near the float limit passes screening but
+        overflows every particle's likelihood: the degenerate-weight guard
+        drops only that reading — evented and counted, posterior intact."""
         pf = _converged(sanitize="repair")
-        monkeypatch.setattr(pf, "_screen", lambda *a: True)
-        n_before = pf.n_updates
-        before = pf.estimate()
+        n_before = _n_assimilated(pf)
+        state, weights = pf._state.copy(), pf._weights.copy()
+        before = pf.solve()
         counter_before = perf.counter_value("solver.particle_degenerate")
 
-        assert not pf.update(0.0, 0.0, -1.0e200)  # log-weights -> all NaN
+        assert pf.observe([1.5e308], [1.5e308], [-60.0]) == 0
 
-        assert pf.n_updates == n_before
-        after = pf.estimate()
-        assert after.position.x == before.position.x
-        assert after.position.y == before.position.y
+        assert _n_assimilated(pf) == n_before
+        np.testing.assert_array_equal(pf._state, state)
+        np.testing.assert_array_equal(pf._weights, weights)
+        assert pf.solve().position == before.position
         assert (perf.counter_value("solver.particle_degenerate")
                 == counter_before + 1)
         assert obs.counts().get("solver.particle_degenerate") == 1
 
     def test_strict_mode_raises_typed_on_junk(self):
         pf = _converged(sanitize="strict")
+        before = pf.solve()
         with pytest.raises(DataQualityError):
-            pf.update(float("nan"), 0.0, -60.0)
+            pf.observe([float("nan")], [0.0], [-60.0])
         with pytest.raises(DataQualityError):
-            pf.update(0.0, float("inf"), -60.0)
+            pf.observe([0.0], [float("inf")], [-60.0])
         with pytest.raises(DataQualityError):
-            pf.update(0.0, 0.0, -1.0e200)  # implausible RSS band
-        pf.estimate()  # posterior untouched by the refused readings
+            pf.observe([0.0], [0.0], [-1.0e200])  # implausible RSS band
+        # The posterior is untouched by the refused readings.
+        assert pf.solve().position == before.position
 
     def test_repair_mode_skips_and_counts(self):
         pf = _converged(sanitize="repair")
         counter_before = perf.counter_value("solver.particle_skipped")
-        taken = pf.update_batch(
+        taken = pf.observe(
             [0.0, float("nan"), 0.1], [0.0, 0.0, 0.1], [-60.0, -60.0, 500.0]
         )
         assert taken == 1
@@ -108,35 +111,26 @@ class TestPosteriorWipeRegression:
                 == counter_before + 2)
         assert obs.counts().get("solver.particle_skipped") == 2
 
-    def test_explicit_reset_is_still_a_full_restart(self):
-        """reset() remains the deliberate start-over: counter zeroed,
-        estimate refused until new data — but now evented and counted."""
-        pf = _converged(sanitize="repair")
-        counter_before = perf.counter_value("solver.particle_resets")
-        pf.reset()
-        assert pf.n_updates == 0
-        with pytest.raises(EstimationError):
-            pf.estimate()
-        assert perf.counter_value("solver.particle_resets") == counter_before + 1
-        assert obs.counts().get("solver.particle_reset") == 1
 
-
-class TestUpdateBatchTypedErrors:
+class TestNonNumericTypedErrors:
     def test_non_numeric_raises_typed_in_strict(self):
-        pf = ParticleEstimator(np.random.default_rng(0))
+        pf = ParticleBackend()
         with pytest.raises(DataQualityError):
-            pf.update_batch(["spam"], [0.0], [-60.0])
+            pf.observe(["spam"], [0.0], [-60.0])
         with pytest.raises(DataQualityError):
-            pf.update_batch([0.0], [None], [-60.0])
+            pf.observe([0.0], [None], [-60.0])
         with pytest.raises(DataQualityError):
-            pf.update_batch([0.0], [0.0], [{"rss": -60}])
+            pf.observe([0.0], [0.0], [{"rss": -60}])
+        with pytest.raises(DataQualityError):
+            pf.observe([10 ** 400], [0.0], [-60.0])  # overflows float()
 
     def test_non_numeric_skipped_in_repair(self):
         pf = _converged(sanitize="repair")
-        before = pf.n_updates
-        taken = pf.update_batch(["spam", 0.0], [0.0, 0.0], [-60.0, -61.0])
+        before = _n_assimilated(pf)
+        taken = pf.observe(["spam", 0.0], [0.0, 0.0], [-60.0, -61.0])
         assert taken == 1
-        assert pf.n_updates == before + 1
+        assert _n_assimilated(pf) == before + 1
+        assert pf.n_skipped == 1
 
 
 class TestJunkNeverDestroysPosterior:
@@ -173,78 +167,35 @@ class TestJunkNeverDestroysPosterior:
     ):
         """Property (hypothesis): arbitrary junk readings — any mix of
         non-finite displacements and non-finite/implausible RSS — never
-        move a converged posterior at all, and estimate() keeps working."""
+        move a converged posterior at all, and solve() keeps working."""
         pf = _converged(sanitize="repair")
         state_before = pf._state.copy()
         weights_before = pf._weights.copy()
-        n_before = pf.n_updates
+        n_before = _n_assimilated(pf)
 
         for bad, which in readings:
             p, q, rss = self._junk_reading(bad, 0.5, -0.5, -60.0, which)
-            assert not pf.update(p, q, rss)
+            assert pf.observe([p], [q], [rss]) == 0
 
-        assert pf.n_updates == n_before
+        assert _n_assimilated(pf) == n_before
         np.testing.assert_array_equal(pf._state, state_before)
         np.testing.assert_array_equal(pf._weights, weights_before)
-        pf.estimate()
+        pf.solve()
 
 
 class TestEstimateDiagnostics:
     def test_estimate_carries_posterior_spread_diagnostics(self):
         pf = _converged(sanitize="repair")
-        pf.update(float("nan"), 0.0, -60.0)
-        est = pf.estimate()
-        diag = est.diagnostics
-        assert diag is not None
-        assert diag.n_samples_used == pf.n_updates
-        prov = diag.provenance
-        assert prov.solver == "particle"
-        assert prov.n_candidates == pf.n_particles
-        assert prov.sanitized_dropped == 1
-        assert prov.sanitized_repaired is True
-        assert prov.position_std == pytest.approx(est.position_std)
-        assert prov.confidence == pytest.approx(est.confidence)
-
-
-class TestParticleCheckpoint:
-    def test_kill_and_resume_is_bit_identical(self):
-        rng = np.random.default_rng(7)
-        p, q, rss = _l_walk_readings(rng)
-        a = ParticleEstimator(np.random.default_rng(7))
-        a.update_batch(p[:20], q[:20], rss[:20])
-
-        cp = json.loads(json.dumps(a.checkpoint()))
-        b = ParticleEstimator.restore(cp)
-
-        a.update_batch(p[20:], q[20:], rss[20:])
-        b.update_batch(p[20:], q[20:], rss[20:])
-
-        ea, eb = a.estimate(), b.estimate()
-        assert ea.position.x == eb.position.x
-        assert ea.position.y == eb.position.y
-        assert ea.gamma == eb.gamma and ea.n == eb.n
-        assert ea.position_std == eb.position_std
-        np.testing.assert_array_equal(a._state, b._state)
-        np.testing.assert_array_equal(a._weights, b._weights)
-
-    def test_checkpoint_preserves_counters(self):
-        pf = _converged(sanitize="repair")
-        pf.update(float("nan"), 0.0, -60.0)
-        cp = json.loads(json.dumps(pf.checkpoint()))
-        restored = ParticleEstimator.restore(cp)
-        assert restored.n_updates == pf.n_updates
-        assert restored.n_skipped == pf.n_skipped
-
-    def test_wrong_format_fails_typed(self):
-        pf = _converged()
-        cp = pf.checkpoint()
-        cp["format"] = 99
-        with pytest.raises(DataQualityError):
-            ParticleEstimator.restore(cp)
-
-    def test_malformed_state_fails_typed(self):
-        pf = _converged()
-        cp = json.loads(json.dumps(pf.checkpoint()))
-        cp["state"] = cp["state"][:5]
-        with pytest.raises(DataQualityError):
-            ParticleEstimator.restore(cp)
+        pf.observe([float("nan")], [0.0], [-60.0])
+        fit = pf.solve()
+        assert fit.solver == "particle"
+        assert fit.n_candidates == N_PARTICLES
+        assert fit.cov_status == "ok"
+        # The posterior spread: the weighted RMS radius of the cloud.
+        w = pf._weights
+        xy = pf._state[:, :2]
+        spread = np.sqrt(np.sum(w[:, None] * (xy - w @ xy) ** 2))
+        assert fit.position_std == pytest.approx(spread)
+        assert pf.n_skipped == 1
+        # Residuals cover exactly the assimilated readings.
+        assert len(fit.residuals) == 40

@@ -1,17 +1,17 @@
-"""Cross-backend degradation matrix: the PR 2 fault sweep across all solvers.
+"""Cross-solver degradation matrix: the trace-fault sweep across all solvers.
 
 Marked ``solvers`` (excluded from tier-1 via addopts — run with
 ``-m solvers``): every fault family the PR 2 robustness work introduced
 (bursty loss, scan outages, clock skew/jitter/reordering, RSSI spikes,
-NaN poisoning, and a kitchen-sink combination) runs against all three
-registered solver backends on the Table-1 stationary scenario.
+NaN poisoning, and a kitchen-sink combination) runs against both solvers
+on the Table-1 stationary scenario.
 
 The acceptance bar is the robustness contract, not accuracy parity:
 
 * **zero untyped errors** — every trial either yields a finite error or
   is refused through the typed :class:`~repro.errors.ReproError` taxonomy
   (an untyped ``TypeError``/``ValueError`` would crash the sweep);
-* the clean-input column stays accurate for every backend;
+* the clean-input column stays accurate for every solver;
 * degraded columns still produce estimates for most seeds (the repair
   pipeline drops bad samples instead of giving up).
 """
@@ -19,11 +19,11 @@ The acceptance bar is the robustness contract, not accuracy parity:
 import numpy as np
 import pytest
 
+from repro.core.solvers import SOLVERS
 from repro.sim.faults import FaultModel, degradation_sweep
 from repro.sim.montecarlo import SolverPipelineFactory, summarize
 from repro.world.scenarios import scenario
 
-BACKENDS = ("elliptical", "particle", "ekf")
 
 #: The PR 2 fault families, one row each, plus a clean row and the
 #: kitchen sink. Rates are deliberately harsh — this is a survival
@@ -50,7 +50,7 @@ class TestCrossBackendDegradationMatrix:
         """Run the full matrix once: {backend: [(name, model, errors)]}."""
         sc = scenario(1)
         out = {}
-        for backend in BACKENDS:
+        for backend in SOLVERS:
             sweep = degradation_sweep(
                 sc,
                 SEEDS,
@@ -63,7 +63,7 @@ class TestCrossBackendDegradationMatrix:
             ]
         return out
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", SOLVERS)
     def test_sweep_completes_with_zero_untyped_errors(self, matrix, backend):
         """Reaching this assertion at all means no untyped error escaped:
         degradation_sweep only catches the typed ReproError taxonomy, so a
@@ -73,14 +73,14 @@ class TestCrossBackendDegradationMatrix:
         for name, _, errors in rows:
             assert all(np.isfinite(errors)), (backend, name)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", SOLVERS)
     def test_clean_column_is_accurate(self, matrix, backend):
         name, _, errors = matrix[backend][0]
         assert name == "clean"
         assert len(errors) == len(SEEDS)
         assert summarize(errors).median < 5.0, backend
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", SOLVERS)
     def test_degraded_columns_still_produce_estimates(self, matrix, backend):
         for name, _, errors in matrix[backend]:
             # The repair path keeps most trials alive under every fault
@@ -89,4 +89,4 @@ class TestCrossBackendDegradationMatrix:
             assert len(errors) >= len(SEEDS) // 2, (backend, name)
 
     def test_matrix_shape_is_complete(self, matrix):
-        assert set(matrix) == set(BACKENDS)
+        assert set(matrix) == set(SOLVERS)

@@ -1,39 +1,34 @@
-"""Tests for the pluggable solver-backend interface (:mod:`repro.core.solvers`).
+"""Tests for the solver layer (:mod:`repro.core.solvers`).
 
-Covers the registry, the common ``observe/solve`` contract and screening
-policy across all three backends, threading ``solver=`` through
-:class:`~repro.core.pipeline.LocBLE` and the session/service configs
-(including checkpoint back-compat: absent field → elliptical), obs/perf
-parity of the new ``solver.*`` signals, and the cross-backend equivalence
-smoke on the Table-1 stationary scenario.
+Covers the solver-name tuple and the typed refusal of unknown (or
+removed) names everywhere a name enters — ``LocBLE``, ``SessionConfig``,
+session checkpoints, the CLI — plus the particle filter's
+``observe/solve`` contract and screening policy, threading ``solver=``
+through :class:`~repro.core.pipeline.LocBLE` and the session/service
+configs (including checkpoint back-compat: absent field → elliptical and
+a real-pipeline particle session's kill-and-resume), obs/perf parity of
+the ``solver.*`` signals, and the cross-solver equivalence smoke on the
+Table-1 stationary scenario.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import obs, perf
 from repro.channel.pathloss import rss_at
 from repro.core.pipeline import LocBLE
-from repro.core.solvers import (
-    EkfBackend,
-    EllipticalBackend,
-    ParticleBackend,
-    available_backends,
-    make_solver,
-    restore_solver,
-)
-from repro.errors import (
-    ConfigurationError,
-    DataQualityError,
-    InsufficientDataError,
-)
+from repro.core.solvers import SOLVERS, ParticleBackend
+from repro.errors import ConfigurationError, DataQualityError
 from repro.service import SessionConfig, TrackingSession
 from repro.sim.montecarlo import SolverPipelineFactory
-from repro.types import RssiSample
-
-BACKENDS = ("ekf", "elliptical", "particle")
+from repro.types import ImuTrace, RssiSample
 
 
 @pytest.fixture(autouse=True)
@@ -54,50 +49,55 @@ def _l_walk_readings(rng, true=(4.0, 3.0), gamma=-59.0, n=2.1, noise=1.5,
     return p, q, rss
 
 
-class TestRegistry:
-    def test_all_three_backends_registered(self):
-        assert available_backends() == BACKENDS
-
-    def test_make_solver_builds_each(self):
-        assert isinstance(make_solver("elliptical"), EllipticalBackend)
-        assert isinstance(make_solver("particle"), ParticleBackend)
-        assert isinstance(make_solver("ekf"), EkfBackend)
+class TestSolverNames:
+    def test_solver_names(self):
+        assert SOLVERS == ("elliptical", "particle")
+        assert repro.SOLVERS is SOLVERS
 
     def test_unknown_name_is_typed(self):
         with pytest.raises(ConfigurationError):
-            make_solver("levenberg")
+            LocBLE(solver="levenberg")
 
-    def test_restore_dispatches_on_backend_field(self):
-        for name in BACKENDS:
-            be = make_solver(name)
-            restored = restore_solver(json.loads(json.dumps(be.checkpoint())))
-            assert restored.name == name
+    def test_removed_ekf_is_typed_everywhere(self):
+        """The EKF was deleted; its name takes the unknown-solver path at
+        every entry point, and the message lists what remains."""
+        listed = "available: elliptical, particle"
+        with pytest.raises(ConfigurationError, match=listed):
+            LocBLE(solver="ekf")
+        with pytest.raises(ConfigurationError, match=listed):
+            SessionConfig(solver="ekf")
+        cp = json.loads(json.dumps(TrackingSession("b0").checkpoint()))
+        cp["config"]["solver"] = "ekf"
+        with pytest.raises(ConfigurationError, match=listed):
+            TrackingSession.restore(cp)
 
-    def test_restore_rejects_junk(self):
-        with pytest.raises(DataQualityError):
-            restore_solver("not a checkpoint")
-        with pytest.raises(DataQualityError):
-            restore_solver({"backend": "nope"})
+    def test_cli_rejects_removed_ekf_with_usage_error(self):
+        env_path = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "locate", "--solver", "ekf"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=env_path),
+        )
+        assert result.returncode == 2
+        assert "usage:" in result.stderr
+        assert "invalid choice: 'ekf'" in result.stderr
 
 
 class TestBackendContract:
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_observe_solve_recovers_position(self, name):
+    def test_observe_solve_recovers_position(self):
         rng = np.random.default_rng(1)
         p, q, rss = _l_walk_readings(rng, noise=1.0)
-        be = make_solver(name, seed=1)
+        be = ParticleBackend(seed=1)
         assert be.observe(p, q, rss) == len(p)
         fit = be.solve()
         err = float(np.hypot(fit.position.x - 4.0, fit.position.y - 3.0))
         assert err < 3.0
-        assert fit.solver == ("gauss-newton" if name == "elliptical"
-                              else name)
+        assert fit.solver == "particle"
         assert len(fit.residuals) == len(p)
         assert np.isfinite(fit.rss_rmse)
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_strict_screening_raises_typed(self, name):
-        be = make_solver(name, sanitize="strict")
+    def test_strict_screening_raises_typed(self):
+        be = ParticleBackend(sanitize="strict")
         with pytest.raises(DataQualityError):
             be.observe([0.0, float("nan")], [0.0, 0.0], [-60.0, -61.0])
         with pytest.raises(DataQualityError):
@@ -105,12 +105,11 @@ class TestBackendContract:
         with pytest.raises(DataQualityError):
             be.observe(["spam"], [0.0], [-60.0])
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_repair_screening_skips_counts_and_events(self, name):
+    def test_repair_screening_skips_counts_and_events(self):
         rng = np.random.default_rng(2)
         p, q, rss = _l_walk_readings(rng)
-        be = make_solver(name, sanitize="repair", seed=2)
-        counter = f"solver.{be.name}_skipped"
+        be = ParticleBackend(sanitize="repair", seed=2)
+        counter = "solver.particle_skipped"
         counter_before = perf.counter_value(counter)
 
         p_bad = np.concatenate([p, [float("nan"), 0.0]])
@@ -120,22 +119,15 @@ class TestBackendContract:
 
         fit = be.solve()
         assert np.isfinite(fit.position.x)
-        assert be.diagnostics()["n_skipped"] == 2
+        assert be.n_skipped == 2
         # obs/perf parity: the skips were evented and counted at one site.
         assert perf.counter_value(counter) == counter_before + 2
         assert obs.counts().get(counter) == 2
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_misaligned_inputs_are_typed(self, name):
-        be = make_solver(name)
+    def test_misaligned_inputs_are_typed(self):
+        be = ParticleBackend()
         with pytest.raises(DataQualityError):
             be.observe([0.0, 1.0], [0.0], [-60.0])
-
-    def test_ekf_insufficient_data_is_typed(self):
-        be = make_solver("ekf")
-        be.observe([0.0], [0.0], [-60.0])
-        with pytest.raises(InsufficientDataError):
-            be.solve()
 
 
 class TestLocBLEThreading:
@@ -157,18 +149,17 @@ class TestLocBLEThreading:
 
     def test_only_elliptical_has_batched_path(self, record):
         assert LocBLE().uses_batched_solver
-        for name in ("particle", "ekf"):
-            pipeline = LocBLE(solver=name)
-            assert not pipeline.uses_batched_solver
-            with pytest.raises(ConfigurationError):
-                pipeline.prepare_estimate(
-                    record.rssi_traces["b"], record.observer_imu.trace)
+        pipeline = LocBLE(solver="particle")
+        assert not pipeline.uses_batched_solver
+        with pytest.raises(ConfigurationError):
+            pipeline.prepare_estimate(
+                record.rssi_traces["b"], record.observer_imu.trace)
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", SOLVERS)
     def test_table1_stationary_equivalence_smoke(self, record, name):
-        """Cross-backend equivalence on the Table-1 scenario-1 measurement:
-        every backend localises the same beacon from the same trace within
-        tolerance, and provenance names the backend that solved."""
+        """Cross-solver equivalence on the Table-1 scenario-1 measurement:
+        every solver localises the same beacon from the same trace within
+        tolerance, and provenance names the solver that solved."""
         est = LocBLE(solver=name).estimate(
             record.rssi_traces["b"], record.observer_imu.trace)
         truth = record.true_position_in_frame("b")
@@ -192,9 +183,9 @@ class TestSessionThreading:
             SessionConfig(solver="nope")
 
     def test_config_roundtrip_carries_solver(self):
-        cfg = SessionConfig(solver="ekf")
+        cfg = SessionConfig(solver="particle")
         assert SessionConfig.from_dict(
-            json.loads(json.dumps(cfg.to_dict()))).solver == "ekf"
+            json.loads(json.dumps(cfg.to_dict()))).solver == "particle"
 
     def test_legacy_config_dict_defaults_to_elliptical(self):
         d = SessionConfig().to_dict()
@@ -207,11 +198,11 @@ class TestSessionThreading:
         assert not s.pipeline.uses_batched_solver
 
     def test_session_checkpoint_restores_solver(self):
-        s = TrackingSession("b0", config=SessionConfig(solver="ekf"))
+        s = TrackingSession("b0", config=SessionConfig(solver="particle"))
         cp = json.loads(json.dumps(s.checkpoint()))
         restored = TrackingSession.restore(cp)
-        assert restored.config.solver == "ekf"
-        assert restored.pipeline.solver == "ekf"
+        assert restored.config.solver == "particle"
+        assert restored.pipeline.solver == "particle"
 
     def test_legacy_session_checkpoint_defaults_to_elliptical(self):
         s = TrackingSession("b0")
@@ -225,7 +216,6 @@ class TestSessionThreading:
         """begin_step must not try to join the fit_batch for a backend
         with no batched path — it solves inline like step() would."""
         from repro import BeaconSpec, Simulator, l_shape, scenario
-        from repro.types import ImuTrace  # noqa: F401  (type context)
 
         sc = scenario(1)
         sim = Simulator(sc.floorplan, np.random.default_rng(0))
@@ -245,12 +235,77 @@ class TestSessionThreading:
         assert s.last_estimate is not None
 
 
+class TestParticleSessionResume:
+    """Kill-and-resume of a real-pipeline particle session: a checkpoint
+    taken mid-stream, round-tripped through JSON and restored continues
+    exactly like the session that was never interrupted."""
+
+    @pytest.fixture(scope="class")
+    def walk(self):
+        from repro import BeaconSpec, Simulator, scenario
+        from repro.world.trajectory import random_waypoint_walk
+
+        sc = scenario(1)
+        rng = np.random.default_rng(5)
+        sim = Simulator(sc.floorplan, rng)
+        path = random_waypoint_walk(
+            sc.observer_start, 10, rng, leg_range=(1.5, 3.0),
+            bounds=(sc.floorplan.width, sc.floorplan.height))
+        rec = sim.simulate(
+            path, [BeaconSpec("b", position=sc.beacon_position)])
+        return rec.rssi_traces["b"].samples, rec.observer_imu.trace.samples
+
+    @staticmethod
+    def _drive(session, walk, ticks):
+        rss, imu = walk
+        out = []
+        for t in ticks:
+            session.ingest(
+                RssiSample(s.timestamp, s.rssi, "b", s.channel) for s in rss
+                if t - 2.0 < s.timestamp <= t)
+            snap = session.step(
+                t, ImuTrace([s for s in imu if s.timestamp <= t]))
+            est = snap.estimate
+            out.append((
+                snap.t, snap.state, snap.breaker_state, snap.fix_age_s,
+                snap.track, snap.buffered, snap.shed,
+                None if est is None else (
+                    est.position, est.position_std, est.confidence,
+                    est.gamma, est.n, est.diagnostics.provenance),
+            ))
+        return out
+
+    def test_particle_session_kill_and_resume_matches_uninterrupted(
+        self, walk
+    ):
+        ticks = [2.0 * k for k in range(1, 1 + int(walk[0][-1].timestamp // 2))]
+        cut = len(ticks) // 2
+        assert cut >= 3
+
+        def session():
+            return TrackingSession("b", config=SessionConfig(solver="particle"))
+
+        full = session()
+        expected = self._drive(full, walk, ticks)
+
+        first = session()
+        got = self._drive(first, walk, ticks[:cut])
+        cp = json.loads(json.dumps(first.checkpoint()))
+        resumed = TrackingSession.restore(cp)
+        assert resumed.pipeline.solver == "particle"
+        got += self._drive(resumed, walk, ticks[cut:])
+
+        assert got == expected
+        assert resumed.counters == full.counters
+        assert full.counters["fixes_accepted"] > cut
+
+
 class TestSolverPipelineFactory:
     def test_factory_is_picklable_and_builds_solver(self):
         import pickle
 
         factory = pickle.loads(pickle.dumps(
-            SolverPipelineFactory(solver="ekf")))
+            SolverPipelineFactory(solver="particle")))
         pipeline = factory()
-        assert pipeline.solver == "ekf"
+        assert pipeline.solver == "particle"
         assert pipeline.sanitize == "repair"
