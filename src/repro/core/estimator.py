@@ -417,8 +417,7 @@ class EllipticalEstimator:
     def _warm_reject(
         self, reason: str, warm: WarmStartState, n_rows: int,
     ) -> None:
-        """One event plus one counter, same site (soak cross-check parity)."""
-        perf.count("estimator.warm_rejected")
+        """Make a rejected warm start loud (``solver.warm_rejected``)."""
         obs.emit(
             "solver.warm_rejected",
             severity="warning",
@@ -473,7 +472,8 @@ class EllipticalEstimator:
             return None, "residual blow-up"
         res.solver = "warm-linearized"
         res.warm_started = True
-        perf.count("estimator.warm_fits")
+        obs.emit("estimator.warm_fit", severity="debug",
+                 component="estimator")
         return res, ""
 
     def _solve_for_n(
@@ -662,14 +662,11 @@ class EllipticalEstimator:
     def _report_covariance(self, best: FitResult) -> None:
         """Make a winning fit's covariance fallback loud (never silent).
 
-        One ``estimator.cov_fallback`` event plus one perf counter tick per
-        fit whose reported ``position_std`` is not the trusted Gauss-Newton
-        value — emitted at the same site so the soak harness can cross-check
-        event volume against the counter exactly.
+        One ``estimator.cov_fallback`` event per fit whose reported
+        ``position_std`` is not the trusted Gauss-Newton value.
         """
         if best.cov_status in ("ok", "none"):
             return
-        perf.count("estimator.cov_fallbacks")
         obs.emit(
             "estimator.cov_fallback",
             severity="warning",
@@ -1099,7 +1096,8 @@ def _solve_warm_group(
             continue
         res.warm_started = True
         est._report_covariance(res)
-        perf.count("estimator.warm_fits")
+        obs.emit("estimator.warm_fit", severity="debug",
+                 component="estimator")
         out.append((res, ""))
     return out
 

@@ -323,7 +323,6 @@ class LocBLE:
                 out[beacon_id] = self.estimate(trace, observer_imu)
             except (ConfigurationError, InsufficientDataError,
                     EstimationError) as exc:
-                perf.count("pipeline.beacons_skipped")
                 obs.emit(
                     "pipeline.beacon_skipped",
                     severity="info",
@@ -440,7 +439,6 @@ class LocBLE:
             dropped = (report.n_nonfinite_dropped
                        + report.n_implausible_dropped
                        + report.n_duplicates_collapsed)
-            perf.count("pipeline.fallbacks")
             obs.emit(
                 "pipeline.fallback",
                 severity="warning",
@@ -553,7 +551,6 @@ class LocBLE:
                 seg_start = 0
                 changes = []
             else:
-                perf.count("pipeline.env_restarts")
                 obs.emit(
                     "pipeline.env_restart",
                     severity="info",
@@ -617,12 +614,14 @@ class LocBLE:
             reuse = (chk_p[0] == cache.p[cache.n - 1]
                      and chk_q[0] == cache.q[cache.n - 1])
         if reuse:
-            perf.count("pipeline.pq_cache_reuses")
+            obs.emit("pipeline.pq_cache_reuse", severity="debug",
+                     component="pipeline")
             new_p, new_q = compute(ts[cache.n:])
             p = np.concatenate([cache.p[:cache.n], new_p])
             q = np.concatenate([cache.q[:cache.n], new_q])
         else:
-            perf.count("pipeline.pq_cache_rebuilds")
+            obs.emit("pipeline.pq_cache_rebuild", severity="debug",
+                     component="pipeline")
             p, q = compute(ts)
         cache.reused = reuse
         # Cache only rows older than the settle guard: step/turn detection

@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro import obs, perf
+from repro import obs
 from repro.core.estimator import FitResult
 from repro.errors import ConfigurationError, DataQualityError, EstimationError
 from repro.robustness.sanitize import RSSI_PLAUSIBLE_DBM
@@ -186,14 +186,13 @@ class ParticleBackend:
                     "sanitize the trace first or use sanitize='repair'"
                 )
             self.n_skipped += n_bad
-            for _ in range(n_bad):
-                perf.count("solver.particle_skipped")
-                obs.emit(
-                    "solver.particle_skipped",
-                    severity="debug",
-                    component="solver",
-                    reason="unusable-reading",
-                )
+            obs.emit(
+                "solver.particle_skipped",
+                severity="debug",
+                component="solver",
+                reason="unusable-reading",
+                n=n_bad,
+            )
         return p_arr[ok], q_arr[ok], rss_arr[ok]
 
     # -- assimilation --------------------------------------------------------
@@ -217,7 +216,6 @@ class ParticleBackend:
             # near the float limit): keep the pre-update posterior and drop
             # only this reading — re-seeding the cloud here would silently
             # discard every good update so far.
-            perf.count("solver.particle_degenerate")
             obs.emit(
                 "solver.particle_degenerate",
                 severity="warning",
@@ -234,7 +232,6 @@ class ParticleBackend:
 
     def _resample(self) -> None:
         n = N_PARTICLES
-        perf.count("solver.particle_resamples")
         obs.emit(
             "solver.particle_resample",
             severity="debug",

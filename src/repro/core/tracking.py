@@ -18,7 +18,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ConfigurationError, DataQualityError, EstimationError
 from repro.types import LocationEstimate, Vec2
 
@@ -109,7 +109,6 @@ class BeaconTracker:
         if not (math.isfinite(std) and std > 0):
             # A fix with no usable uncertainty is fused at the default
             # weight; that substitution changes the track, so count it.
-            perf.count("tracking.default_std_substitutions")
             obs.emit(
                 "tracking.default_std",
                 severity="debug",

@@ -23,7 +23,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro import perf
+from repro import obs, perf
 from repro.dtw.dtw import dtw_distance
 from repro.dtw.lowerbound import envelope, lb_keogh
 from repro.errors import ConfigurationError, InsufficientDataError
@@ -122,7 +122,8 @@ class SegmentMatcher:
         cached = self._envelope_cache.get(key)
         if cached is not None:
             self._envelope_cache.move_to_end(key)
-            perf.count("segmatch.envelope_cache_hits")
+            obs.emit("segmatch.envelope_cache_hit", severity="debug",
+                     component="segmatch")
             return cached
         env = envelope(seg_vals, self.window)
         self._envelope_cache[key] = env

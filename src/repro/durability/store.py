@@ -30,9 +30,8 @@ dicts a crash-safe home with the classic durability ladder:
 Everything a disk can contain is *data*: every refusal is a typed
 :class:`~repro.errors.DataQualityError` (or
 :class:`~repro.errors.ConfigurationError` for an unusable root path), and
-every action emits a ``durability.<name>`` obs event paired with a
-same-named :mod:`repro.perf` counter at the same call site — the parity
-the chaos harness audits.
+every action emits one ``durability.<name>`` obs event and bumps the
+same-named entry of the store's local ``counters``.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from hashlib import blake2b
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ConfigurationError, DataQualityError
 
 __all__ = ["CheckpointStore", "SnapshotInfo", "RestoredSnapshot"]
@@ -127,7 +126,7 @@ class CheckpointStore:
         self.root = Path(root)
         self.retain = int(retain)
         self.durability = durability
-        #: Local mirror of the ``durability.*`` perf counters (parity).
+        #: Per-store totals of the ``durability.<name>`` events.
         self.counters: Dict[str, int] = {}
         try:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -447,13 +446,12 @@ class CheckpointStore:
         if len(scan) > self.retain:
             self._rewrite_manifest(kind)
 
-    # -- internals: the counter/event parity ritual --------------------------
+    # -- internals: the event ritual -----------------------------------------
 
     def _event(self, name: str, severity: str = "info", n: int = 1,
                **fields: Any) -> None:
-        """``durability.<name>``: local counter + perf + obs, in lockstep."""
+        """``durability.<name>``: the local counter plus one n-weighted event."""
         self.counters[name] = self.counters.get(name, 0) + n
-        perf.count(f"durability.{name}", n)
         obs.emit(f"durability.{name}", severity=severity,
                  component="durability", n=n, **fields)
 

@@ -37,9 +37,8 @@ that window re-drives the mover's scans to its hash-home shard. Run
 recreates the pre-migration placement exactly.
 
 Everything here follows the event ritual: each ``supervisor.<name>`` obs
-event increments a same-named :mod:`repro.perf` counter (and the local
-``counters`` mirror) at the same call site — the parity the chaos
-harness audits across kill/recover cycles.
+event also bumps the same-named entry of the supervisor's local
+``counters``, which :meth:`FleetSupervisor.stats` reports.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ConfigurationError, DataQualityError, ReproError
 from repro.fleet import TrackingFleet
 from repro.fleet.worker import ShardWorker
@@ -181,7 +180,6 @@ class FleetSupervisor:
             except Exception as exc:  # noqa: BLE001 — containment boundary
                 self._fail_shard(shard, t, exc, typed=False)
         self.ticks += 1
-        perf.count("fleet.ticks")
         if self.ticks % self.checkpoint_every == 0:
             self.checkpoint_now(t)
         return merged
@@ -322,9 +320,8 @@ class FleetSupervisor:
 
     def _event(self, name: str, severity: str = "info", n: int = 1,
                **fields: Any) -> None:
-        """``supervisor.<name>``: local counter + perf + obs, in lockstep."""
+        """``supervisor.<name>``: the local counter plus one n-weighted event."""
         self.counters[name] = self.counters.get(name, 0) + n
-        perf.count(f"supervisor.{name}", n)
         obs.emit(f"supervisor.{name}", severity=severity,
                  component="supervisor", n=n, **fields)
 
@@ -439,12 +436,10 @@ def recover(
         quarantined=restored.skipped,
         digest_mismatches=tuple(mismatches),
     )
-    perf.count("supervisor.recovered")
     obs.emit(
         "supervisor.recovered",
         severity="error" if mismatches else "info",
         component="supervisor",
-        n=1,
         checkpoint_seq=report.checkpoint_seq,
         checkpoint_tick=checkpoint_tick,
         redriven=redriven,

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ConfigurationError, DataQualityError
 from repro.fleet.router import ShardRouter
 from repro.fleet.worker import ShardWorker
@@ -141,18 +141,16 @@ class TrackingFleet:
             if shard is None:
                 if cap is not None and self.total_sessions >= cap:
                     self.refused_samples += len(batch)
-                    perf.count("fleet.refused_samples", len(batch))
                     if beacon_id not in self._refused_beacons:
                         if len(self._refused_beacons) < SHED_ID_MEMORY:
                             self._refused_beacons.add(beacon_id)
                         self.admission_refused += 1
-                        perf.count("fleet.admission_refused")
                     obs.emit(
                         "fleet.admission_refused",
                         severity="warning",
                         component="fleet",
                         beacon=str(beacon_id),
-                        samples=len(batch),
+                        n=len(batch),
                         max_total_sessions=cap,
                     )
                     continue
@@ -181,7 +179,6 @@ class TrackingFleet:
         merged: Dict[str, SessionSnapshot] = {}
         for worker in self.workers:
             merged.update(worker.tick(t, batch=self.config.batch_ticks))
-        perf.count("fleet.ticks")
         return merged
 
     # -- live migration ------------------------------------------------------
@@ -215,7 +212,6 @@ class TrackingFleet:
         )
         self.router.pin(beacon_id, dst_shard)
         self.migrations += 1
-        perf.count("fleet.migrations")
         obs.emit(
             "fleet.migrated",
             severity="info",
@@ -380,7 +376,6 @@ class TrackingFleet:
             }
             fleet.migrations = int(cp["migrations"])
             fleet.restores = int(cp["restores"]) + 1
-        perf.count("fleet.restores")
         obs.emit(
             "fleet.restored",
             severity="info",

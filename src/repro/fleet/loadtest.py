@@ -31,10 +31,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ConfigurationError, ReproError
 from repro.fleet.fleet import FleetConfig, TrackingFleet
-from repro.service.session import SessionSnapshot
+from repro.service.session import SessionSnapshot, snapshot_key
 from repro.sim.load import LoadConfig, LoadStream, generate_load
 
 __all__ = [
@@ -43,19 +43,6 @@ __all__ = [
     "run_load_test",
     "snapshot_key",
 ]
-
-
-def snapshot_key(snap: SessionSnapshot) -> tuple:
-    """The bit-identity contract of a snapshot under migration.
-
-    Mirrors the soak harness's checkpoint-equivalence key: ``estimate`` is
-    excluded (transient, regenerated each solve), everything else — track
-    state, health, breaker, buffer occupancy — must match exactly.
-    """
-    return (
-        snap.beacon_id, snap.t, snap.state, snap.breaker_state,
-        snap.fix_age_s, snap.track, snap.buffered, snap.shed,
-    )
 
 
 @dataclass(frozen=True)
@@ -157,13 +144,12 @@ def run_load_test(
     snapshots: Dict[str, List[SessionSnapshot]] = {}
     tick_wall: List[float] = []
     tick_fixes: List[int] = []
-    fixes_counter = "service.fixes_accepted"
 
     for k, (t, scan_batch, imu_batch) in enumerate(stream.ticks, start=1):
         if (config.migrate_at_tick is not None
                 and k == config.migrate_at_tick):
             migrations = _migration_wave(fleet, config.migrate_stride)
-        fixes_before = perf.counter_value(fixes_counter)
+        fixes_before = obs.counts().get("fix.provenance", 0)
         start = time.perf_counter()
         try:
             fleet.ingest_scans(scan_batch)
@@ -176,19 +162,18 @@ def run_load_test(
             # defect class than an untyped escape — the chaos gate keys
             # off exactly this split.
             errors.append(f"{type(exc).__name__}: {exc}")
-            perf.count("fleet.loadtest_typed_error")
             obs.emit("fleet.loadtest_typed_error", severity="warning",
                      component="fleet", tick=k, error=type(exc).__name__)
             continue
         except Exception as exc:  # noqa: BLE001 — load tests record, not raise
             errors.append(f"{type(exc).__name__}: {exc}")
             untyped += 1
-            perf.count("fleet.loadtest_untyped_error")
             obs.emit("fleet.loadtest_untyped_error", severity="error",
                      component="fleet", tick=k, error=type(exc).__name__)
             continue
         tick_wall.append(time.perf_counter() - start)
-        tick_fixes.append(perf.counter_value(fixes_counter) - fixes_before)
+        tick_fixes.append(obs.counts().get("fix.provenance", 0)
+                          - fixes_before)
         for beacon_id, snap in snaps.items():
             snapshots.setdefault(beacon_id, []).append(snap)
 

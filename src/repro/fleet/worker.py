@@ -59,7 +59,6 @@ class ShardWorker:
         self.last_tick_wall_s = time.perf_counter() - start
         self.ticks += 1
         perf.record("fleet.shard_tick", self.last_tick_wall_s)
-        perf.count(f"fleet.shard.{self.shard_id}.ticks")
         return snaps
 
     # -- reporting -----------------------------------------------------------

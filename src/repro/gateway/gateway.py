@@ -28,9 +28,8 @@ Degradation ladder, outermost first:
    drop-oldest with the standard shed ritual.
 
 Nothing in this module raises an untyped exception for anything a client
-can put on the wire: every refusal or repair is a ``gateway.*`` perf
-counter plus a same-named :mod:`repro.obs` event, emitted at the same
-call site.
+can put on the wire: every refusal or repair is one ``gateway.*``
+:mod:`repro.obs` event, whose n-weighted volume is its counter.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ConfigurationError, DataQualityError
 from repro.fleet import TrackingFleet
 from repro.gateway.frames import (
@@ -186,7 +185,7 @@ class IngestionGateway:
         self.scan_queues: Dict[str, BoundedBuffer[RssiSample]] = {}
         self.imu_queue: BoundedBuffer[ImuSample] = BoundedBuffer(
             self.config.imu_queue, name="gateway.imu")
-        #: Gateway-local refusal/repair counters (mirrored into repro.perf).
+        #: Gateway-local refusal/repair counters (``gateway.<name>`` events).
         self.counters: Dict[str, int] = {}
         self.active_clients = 0
         self.ticks = 0
@@ -473,7 +472,6 @@ class IngestionGateway:
         snapshots = self.fleet.tick(float(t))
         self.ticks += 1
         self.last_tick_t = float(t)
-        perf.count("gateway.ticks")
         if self.tap is not None:
             self.tap.record_tick(float(t), scans, imu, snapshots)
         return snapshots
@@ -527,13 +525,7 @@ class IngestionGateway:
 
     def _event(self, name: str, severity: str = "warning", n: int = 1,
                **fields: Any) -> None:
-        """The refusal/repair ritual: local counter + perf + obs, paired.
-
-        Every ``gateway.<name>`` perf counter increments in lockstep with
-        a same-named obs event from this one call site — the parity that
-        ``tests/test_gateway.py`` audits across whole soak runs.
-        """
+        """``gateway.<name>``: the local counter plus one n-weighted event."""
         self.counters[name] = self.counters.get(name, 0) + n
-        perf.count(f"gateway.{name}", n)
         obs.emit(f"gateway.{name}", severity=severity, component="gateway",
                  n=n, **fields)

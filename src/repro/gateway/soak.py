@@ -135,19 +135,6 @@ class GatewaySoakResult:
         }
 
 
-class _VolumeSink:
-    """Sums each event's ``n`` field (default 1) per event name."""
-
-    def __init__(self) -> None:
-        self.volumes: Dict[str, int] = {}
-
-    def write(self, event: Any) -> None:
-        n = event.fields.get("n", 1)
-        if not isinstance(n, int) or isinstance(n, bool):
-            n = 1
-        self.volumes[event.name] = self.volumes.get(event.name, 0) + n
-
-
 def _build_schedules(
     config: GatewaySoakConfig,
 ) -> Tuple[List[float], List[List[_TickSchedule]], int]:
@@ -280,16 +267,15 @@ def run_gateway_soak(config: GatewaySoakConfig) -> GatewaySoakResult:
     ``record_path`` was given and ``replay_check`` is on.
     """
     result = GatewaySoakResult()
-    sink = _VolumeSink()
-    obs.add_sink(sink)
+    sink = obs.add_sink(obs.CountingSink())
     try:
         asyncio.run(_drive(config, result))
     finally:
         obs.remove_sink(sink)
-    result.event_volumes = dict(sink.volumes)
+    result.event_volumes = sink.counts()
 
     for name, count in sorted(result.gateway_counters.items()):
-        if sink.volumes.get(f"gateway.{name}", 0) != count:
+        if result.event_volumes.get(f"gateway.{name}", 0) != count:
             result.parity_failures.append(name)
 
     if config.record_path is not None and config.replay_check:

@@ -44,7 +44,6 @@ from typing import Any, Dict, IO, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, DataQualityError
 from repro.fleet import FleetConfig, TrackingFleet
-from repro.fleet.loadtest import snapshot_key
 from repro.gateway.gateway import GatewayConfig, IngestionGateway
 from repro.service import ServiceConfig
 from repro.service.session import (
@@ -52,6 +51,7 @@ from repro.service.session import (
     SessionConfig,
     SessionSnapshot,
     default_pipeline_factory,
+    snapshot_key,
 )
 from repro.types import ImuSample, RssiSample
 
@@ -98,7 +98,7 @@ def _chain(prev_h: str, record: Dict[str, Any]) -> str:
 def snapshot_digest(snapshots: Dict[str, SessionSnapshot]) -> str:
     """A deterministic digest of one tick's snapshot stream.
 
-    Built over the sorted :func:`~repro.fleet.loadtest.snapshot_key`
+    Built over the sorted :func:`~repro.service.session.snapshot_key`
     tuples — the same bit-identity contract migration and checkpoint
     equivalence are judged by (``estimate`` excluded; ``repr`` round-trips
     floats exactly).

@@ -4,8 +4,10 @@ The silent-failure postmortems that motivated this layer all shared one
 shape: a numeric fallback fired (``except LinAlgError: pass``, a capped
 std, a shed sample) and nothing recorded that it had happened. ``repro.obs``
 makes those paths loud without making them fragile — every fallback becomes
-a typed, counted, JSON-serialisable event, and the emitting code path never
-slows down meaningfully or crashes because of telemetry.
+a typed, JSON-serialisable event, and the emitting code path never slows
+down meaningfully or crashes because of telemetry. The event is also the
+counter: :func:`counts` is the n-weighted volume of each event name, so
+there is one call per signal and nothing to keep in step.
 
 Like :mod:`repro.perf`, the module doubles as a process-wide facade::
 
@@ -18,12 +20,14 @@ Like :mod:`repro.perf`, the module doubles as a process-wide facade::
         result = locble.estimate(trace)
         sp.annotate(confidence=result.confidence)
 
-A bounded :class:`~repro.obs.sinks.RingBufferSink` is always attached, so
-the most recent events are inspectable (``obs.tail()``) even when nothing
-was configured; extra sinks (a :class:`~repro.obs.sinks.JsonLinesSink`
-file, a :class:`~repro.obs.sinks.CountingSink` for tests) attach and detach
-freely. See ``docs/observability.md`` for the event schema and the list of
-events each component emits.
+A bounded :class:`~repro.obs.sinks.RingBufferSink` and a
+:class:`~repro.obs.sinks.CountingSink` are always attached, so the most
+recent events (``obs.tail()``) and every event's running total
+(``obs.counts()``) are inspectable even when nothing was configured; extra
+sinks (a :class:`~repro.obs.sinks.JsonLinesSink` file, a run-scoped
+:class:`~repro.obs.sinks.CountingSink`) attach and detach freely. See
+``docs/observability.md`` for the event schema and the list of events each
+component emits.
 """
 
 from __future__ import annotations
@@ -64,6 +68,9 @@ log = EventLog()
 
 #: The always-attached in-memory tail (drained by the soak harness).
 ring: RingBufferSink = log.add_sink(RingBufferSink())
+
+#: The always-attached counter view behind :func:`counts`.
+_counting: CountingSink = log.add_sink(CountingSink())
 
 
 def emit(
@@ -110,8 +117,13 @@ def tail(n: Optional[int] = None) -> List[Event]:
 
 
 def counts() -> Dict[str, int]:
-    """Event volume per name currently buffered in the default ring."""
-    return ring.counts()
+    """n-weighted event volume per name since the last :func:`reset`.
+
+    This is the library's only counter store: a counter is the volume of
+    the event of the same name (see :class:`CountingSink` for the ``n``
+    rule). Take a before/after difference to count over a window.
+    """
+    return _counting.counts()
 
 
 def drain() -> List[Event]:
@@ -120,14 +132,16 @@ def drain() -> List[Event]:
 
 
 def reset() -> None:
-    """Detach every sink, restart numbering, re-attach a fresh default ring.
+    """Detach every sink, restart numbering, re-attach a fresh default
+    ring and counter view.
 
     Test isolation helper — mirrors :func:`repro.perf.reset`.
     """
-    global ring
+    global ring, _counting
     log.reset()
     log.enabled = True
     ring = log.add_sink(RingBufferSink())
+    _counting = log.add_sink(CountingSink())
 
 
 def enable() -> None:

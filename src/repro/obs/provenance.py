@@ -17,8 +17,7 @@ layers as a solve travels up the stack:
   — and emits the completed record as one ``fix.provenance`` event.
 
 The record is JSON-safe by construction (:meth:`to_fields`), so it lands in
-the event log verbatim and the soak harness can cross-check provenance
-volume against the :mod:`repro.perf` counters.
+the event log verbatim; its volume is the accepted-fix count.
 """
 
 from __future__ import annotations

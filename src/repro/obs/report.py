@@ -54,7 +54,10 @@ def summarize_events(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     }
     for r in records:
         name = str(r.get("event", "?"))
-        by_name[name] = by_name.get(name, 0) + 1
+        n = r.get("n", 1)  # n-weighted, by CountingSink's rule
+        if not isinstance(n, int) or isinstance(n, bool):
+            n = 1
+        by_name[name] = by_name.get(name, 0) + n
         severity = str(r.get("severity", "?"))
         by_severity[severity] = by_severity.get(severity, 0) + 1
         if name == "span" and "span" in r:

@@ -8,15 +8,16 @@ Three sinks cover the deployment shapes the ROADMAP cares about:
 * :class:`JsonLinesSink` — the durable machine-readable log: one JSON
   object per line, flushed per event so a crash loses at most the record
   being written. This is the format ``python -m repro obs report`` reads.
-* :class:`CountingSink` — name → count aggregation for cross-checking
-  event volumes against :mod:`repro.perf` counters in tests.
+* :class:`CountingSink` — n-weighted event volume per name. One is always
+  attached behind :func:`repro.obs.counts`, which makes it the library's
+  counter view: a counter is just the volume of the event of that name.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from collections import Counter, deque
+from collections import deque
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Union
 
@@ -62,10 +63,6 @@ class RingBufferSink:
             events = list(self._events)
             self._events.clear()
         return events
-
-    def counts(self) -> Dict[str, int]:
-        """Buffered event volume per event name."""
-        return dict(Counter(e.name for e in self.tail()))
 
     def clear(self) -> None:
         with self._lock:
@@ -120,20 +117,30 @@ class JsonLinesSink:
 
 
 class CountingSink:
-    """Aggregates event volume by name (and by severity) only."""
+    """Sums each event's ``n`` field per event name.
+
+    An event without an ``n`` field, or whose ``n`` is not an ``int`` (a
+    ``bool`` included), counts as 1 — so an emitter that refuses a batch
+    of 40 samples in one event (``n=40``) weighs the same as 40 one-sample
+    events.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.by_name: Dict[str, int] = {}
-        self.by_severity: Dict[str, int] = {}
 
     def write(self, event: Event) -> None:
+        n = event.fields.get("n", 1)
+        if not isinstance(n, int) or isinstance(n, bool):
+            n = 1
         with self._lock:
-            self.by_name[event.name] = self.by_name.get(event.name, 0) + 1
-            self.by_severity[event.severity] = (
-                self.by_severity.get(event.severity, 0) + 1
-            )
+            self.by_name[event.name] = self.by_name.get(event.name, 0) + n
 
     def count(self, name: str) -> int:
         with self._lock:
             return self.by_name.get(name, 0)
+
+    def counts(self) -> Dict[str, int]:
+        """A copy of every per-name total."""
+        with self._lock:
+            return dict(self.by_name)

@@ -1,9 +1,9 @@
 """Lightweight performance instrumentation for the hot paths.
 
-One process-wide registry of wall-clock timers and event counters, designed
-to stay enabled in production: the estimator, ANF, DTW and pipeline entry
-points are decorated with :func:`profiled`, so any long-running deployment
-can ask :func:`snapshot` where its time went without attaching a profiler.
+One process-wide registry of wall-clock timers, designed to stay enabled in
+production: the estimator, ANF, DTW and pipeline entry points are decorated
+with :func:`profiled`, so any long-running deployment can ask
+:func:`snapshot` where its time went without attaching a profiler.
 
 Usage::
 
@@ -12,8 +12,11 @@ Usage::
     with perf.timer("estimator.fit"):
         estimator.fit(p, q, rss)
 
-    perf.count("dtw.lb_rejections")
     print(perf.snapshot()["timers"]["estimator.fit"]["mean_s"])
+
+Counting is not a ``perf`` job: a counter is the n-weighted volume of an
+:mod:`repro.obs` event (``obs.counts()``), and stream-clock durations ride
+on event fields, so this registry only ever holds wall-clock seconds.
 
 ``perf.disable()`` turns the whole subsystem into a no-op (one boolean check
 per call) for overhead-sensitive sweeps; ``perf.reset()`` clears the stats
@@ -29,11 +32,9 @@ __all__ = [
     "TimerStats",
     "registry",
     "timer",
-    "count",
     "record",
     "profiled",
     "snapshot",
-    "counter_value",
     "reset",
     "enable",
     "disable",
@@ -44,11 +45,9 @@ __all__ = [
 registry = PerfRegistry()
 
 timer = registry.timer
-count = registry.count
 record = registry.record
 profiled = registry.profiled
 snapshot = registry.snapshot
-counter_value = registry.counter_value
 reset = registry.reset
 enable = registry.enable
 disable = registry.disable

@@ -1,7 +1,7 @@
-"""Timer/counter registry backing the :mod:`repro.perf` facade.
+"""Wall-clock timer registry backing the :mod:`repro.perf` facade.
 
-The registry is deliberately tiny: a name → (count, total, min, max) map for
-timers and a name → int map for counters, guarded by one lock. Overhead per
+The registry is deliberately tiny: a name → (count, total, min, max) map of
+timers, guarded by one lock. Overhead per
 timed call is two ``perf_counter`` reads and a dict update — cheap enough to
 leave on the estimator / DTW / pipeline entry points permanently, which is
 the whole point: the production hot paths carry their own instrumentation
@@ -53,11 +53,10 @@ class TimerStats:
 
 @dataclass
 class PerfRegistry:
-    """A named collection of wall-clock timers and event counters."""
+    """A named collection of wall-clock timers."""
 
     enabled: bool = True
     _timers: Dict[str, TimerStats] = field(default_factory=dict)
-    _counters: Dict[str, int] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
     # -- recording -----------------------------------------------------------
@@ -71,13 +70,6 @@ class PerfRegistry:
             if stats is None:
                 stats = self._timers[name] = TimerStats()
             stats.add(elapsed_s)
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Increment counter ``name`` by ``n``."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + n
 
     @contextmanager
     def timer(self, name: str) -> Iterator[None]:
@@ -123,27 +115,16 @@ class PerfRegistry:
     # -- reading / lifecycle -------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """A JSON-ready copy of every timer and counter."""
+        """A JSON-ready copy of every timer."""
         with self._lock:
             return {
                 "timers": {k: v.as_dict() for k, v in sorted(self._timers.items())},
-                "counters": dict(sorted(self._counters.items())),
             }
 
-    def counter_value(self, name: str) -> int:
-        """Current value of counter ``name`` (0 if it never fired).
-
-        Cheaper than :meth:`snapshot` when a test or the observability
-        layer only needs to cross-check a single counter.
-        """
-        with self._lock:
-            return self._counters.get(name, 0)
-
     def reset(self) -> None:
-        """Drop all accumulated timers and counters."""
+        """Drop all accumulated timers."""
         with self._lock:
             self._timers.clear()
-            self._counters.clear()
 
     def enable(self) -> None:
         self.enabled = True

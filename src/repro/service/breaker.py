@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ConfigurationError, DataQualityError
 from repro.service.checkpoint import require_finite, restore_guard
 
@@ -226,7 +226,6 @@ class CircuitBreaker:
         if self.state == self.OPEN:
             if t - self._opened_t >= self._cooldown_s:
                 self.state = self.HALF_OPEN
-                perf.count("service.breaker_probes")
                 obs.emit("breaker.probe", severity="debug",
                          component="service", key=self.key, t=t)
                 return True
@@ -237,7 +236,6 @@ class CircuitBreaker:
         """A solve succeeded: close the circuit and reset escalation."""
         self.consecutive_failures = 0
         if self.state != self.CLOSED:
-            perf.count("service.breaker_closes")
             obs.emit("breaker.close", severity="info",
                      component="service", key=self.key, t=t)
         self.state = self.CLOSED
@@ -265,7 +263,6 @@ class CircuitBreaker:
         self.state = self.OPEN
         self._opened_t = t
         self.trips += 1
-        perf.count("service.breaker_trips")
         obs.emit(
             "breaker.trip",
             severity="warning",

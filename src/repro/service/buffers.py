@@ -4,10 +4,10 @@ A streaming tracker that buffers scans unboundedly dies slowly under burst
 traffic; one that drops silently lies about its inputs. These buffers do
 neither: capacity is fixed at construction, overflow policy is explicit
 (*drop-oldest* — the newest measurement is always the most valuable for a
-tracker), and every shed sample is counted locally, counted into
-:mod:`repro.perf` (``service.shed.<name>``) and logged (first shed per
-buffer at WARNING, the rest at DEBUG so a sustained storm cannot flood the
-log).
+tracker), and every shed sample is counted locally, evented as
+``buffer.shed`` (the buffer's name in the ``buffer`` field) and logged
+(first shed per buffer at WARNING, the rest at DEBUG so a sustained storm
+cannot flood the log).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import (
     TypeVar,
 )
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ConfigurationError
 
 __all__ = ["DROP_OLDEST", "BoundedBuffer"]
@@ -56,7 +56,7 @@ class BoundedBuffer(Generic[T]):
         return len(self._items) >= self.maxlen
 
     def _shed_oldest(self) -> None:
-        """Evict the oldest item with the full count/perf/event/log ritual.
+        """Evict the oldest item with the full count/event/log ritual.
 
         Every shed path (``append``, ``extend``, ``insert_by``) funnels
         through here, so per-item shed accounting is identical no matter
@@ -65,7 +65,6 @@ class BoundedBuffer(Generic[T]):
         """
         self._items.popleft()
         self.shed += 1
-        perf.count(f"service.shed.{self.name}")
         obs.emit(
             "buffer.shed",
             severity="warning" if self.shed == 1 else "debug",

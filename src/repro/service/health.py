@@ -20,9 +20,10 @@ dashboards and the soak harness can reason about them:
 
 A good fix re-acquires from any state (LOST included — the state machine
 does not latch); time-based decay only ever moves toward ``LOST``. Dwell
-time per state is accumulated both locally (checkpointable, reported by the
-soak harness) and into :mod:`repro.perf` timers under
-``service.dwell.<STATE>``.
+time per state is stream-clock time: it is accumulated locally
+(checkpointable, reported by the soak harness) and carried as the
+``dwell_s`` field of each ``health.transition`` event — never into the
+wall-clock :mod:`repro.perf` timers.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ConfigurationError, DataQualityError
 from repro.service.checkpoint import restore_guard
 
@@ -192,8 +193,6 @@ class HealthMachine:
     def _transition(self, t: float, new_state: str) -> None:
         spent = max(t - self._entered_t, 0.0)
         self._dwell[self.state] += spent
-        perf.record(f"service.dwell.{self.state}", spent)
-        perf.count(f"service.transitions.{self.state}->{new_state}")
         obs.emit(
             "health.transition",
             severity=("warning" if new_state in (SessionState.STALE,

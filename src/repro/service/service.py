@@ -15,7 +15,7 @@ a unit. Design rules:
   a checkpoint/restore cycle replays bit-identically.
 * **Typed failure only.** ``ingest_*``/``step`` never raise on data; every
   failure mode is a counted, supervised event reported through
-  :mod:`repro.perf` and :meth:`stats`.
+  :mod:`repro.obs` and :meth:`stats`.
 """
 
 from __future__ import annotations
@@ -119,18 +119,16 @@ class TrackingService:
                 if len(self.sessions) >= self.config.max_sessions:
                     n = len(by_beacon[beacon_id])
                     self.shed_samples += n
-                    perf.count("service.shed_samples", n)
                     if beacon_id not in self._shed_beacons:
                         if len(self._shed_beacons) < SHED_ID_MEMORY:
                             self._shed_beacons.add(beacon_id)
                         self.sessions_shed += 1
-                        perf.count("service.sessions_shed")
                     obs.emit(
                         "service.session_shed",
                         severity="warning",
                         component="service",
                         beacon=str(beacon_id),
-                        samples=n,
+                        n=n,
                         max_sessions=self.config.max_sessions,
                     )
                     continue
@@ -140,7 +138,6 @@ class TrackingService:
                     pipeline_factory=self._pipeline_factory,
                 )
                 self.sessions[beacon_id] = session
-                perf.count("service.sessions_created")
             taken += session.ingest(by_beacon[beacon_id])
         return taken
 
@@ -149,7 +146,6 @@ class TrackingService:
         taken = 0
         for s in samples:
             if not math.isfinite(s.timestamp):
-                perf.count("service.ingest_rejected")
                 obs.emit(
                     "service.imu_rejected",
                     severity="warning",
@@ -207,7 +203,6 @@ class TrackingService:
         if pending:
             fits = fit_batch([p.request for _, p in pending],
                              return_exceptions=True)
-            perf.count("service.batch_solves", len(pending))
             for (session, p), fit in zip(pending, fits):
                 session.resolve_solve(p, fit)
 
@@ -319,7 +314,6 @@ class TrackingService:
                 service.sessions[str(beacon_id)] = TrackingSession.restore(
                     session_cp, pipeline_factory=pipeline_factory
                 )
-        perf.count("service.service_restores")
         obs.emit(
             "service.restored",
             severity="info",

@@ -37,7 +37,7 @@ from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Iterable, Optional
 
-from repro import obs, perf
+from repro import obs
 from repro.core.estimator import FitRequest, FitResult, WarmStartState
 from repro.core.pipeline import LocBLE, PreparedEstimate
 from repro.core.solvers import SOLVERS
@@ -62,7 +62,7 @@ from repro.service.health import HealthConfig, HealthMachine, SessionState
 from repro.types import ImuTrace, LocationEstimate, RssiSample, RssiTrace
 
 __all__ = ["SessionConfig", "SessionSnapshot", "TrackingSession",
-           "PendingSolve"]
+           "PendingSolve", "snapshot_key"]
 
 #: Checkpoint schema version written by :meth:`TrackingSession.checkpoint`.
 SESSION_CHECKPOINT_FORMAT = 1
@@ -179,6 +179,21 @@ class SessionSnapshot:
     shed: int
 
 
+def snapshot_key(snap: SessionSnapshot) -> tuple:
+    """The bit-identity contract of a snapshot.
+
+    Checkpoint resume, live migration and trace replay all promise equal
+    keys. ``estimate`` is deliberately excluded: the last in-memory
+    estimate is transient (regenerated at the next solve) and not part of
+    the checkpoint format; everything else — track state, health, breaker,
+    buffer occupancy — must match exactly.
+    """
+    return (
+        snap.beacon_id, snap.t, snap.state, snap.breaker_state,
+        snap.fix_age_s, snap.track, snap.buffered, snap.shed,
+    )
+
+
 class TrackingSession:
     """Supervised tracking of one beacon over incrementally arriving scans."""
 
@@ -255,7 +270,6 @@ class TrackingSession:
         for s in samples:
             if not math.isfinite(s.timestamp):
                 self._count("ingest_rejected_nonfinite_t")
-                perf.count("service.ingest_rejected")
                 obs.emit(
                     "session.ingest_rejected",
                     severity="warning",
@@ -273,7 +287,6 @@ class TrackingSession:
                 if (last is not None and s.timestamp == last.timestamp
                         and self._is_duplicate(s)):
                     self._count("ingest_duplicate")
-                    perf.count("service.ingest_duplicate")
                     obs.emit(
                         "ingest.duplicate",
                         severity="debug",
@@ -287,7 +300,6 @@ class TrackingSession:
                 continue
             if self._is_duplicate(s):
                 self._count("ingest_duplicate")
-                perf.count("service.ingest_duplicate")
                 obs.emit(
                     "ingest.duplicate",
                     severity="debug",
@@ -299,7 +311,6 @@ class TrackingSession:
             self.rss.insert_by(s, key=lambda x: x.timestamp)
             taken += 1
             self._count("ingest_reordered")
-            perf.count("service.ingest_reordered")
             obs.emit(
                 "ingest.reordered",
                 severity="debug",
@@ -351,7 +362,6 @@ class TrackingSession:
             if (len(window) < self.pipeline.estimator.min_samples
                     or len(imu_window) < self.config.min_imu_samples):
                 self._count("solves_skipped_nodata")
-                perf.count("service.solves_skipped_nodata")
                 obs.emit(
                     "session.solve_skipped",
                     severity="debug",
@@ -363,7 +373,6 @@ class TrackingSession:
                 )
             elif not (self.breaker.allow(t) and self.backoff.ready(t)):
                 self._count("solves_shed")
-                perf.count("service.solves_shed")
                 obs.emit(
                     "session.solve_shed",
                     severity="info",
@@ -406,7 +415,6 @@ class TrackingSession:
         if (len(window) < self.pipeline.estimator.min_samples
                 or len(imu_window) < self.config.min_imu_samples):
             self._count("solves_skipped_nodata")
-            perf.count("service.solves_skipped_nodata")
             obs.emit(
                 "session.solve_skipped",
                 severity="debug",
@@ -419,7 +427,6 @@ class TrackingSession:
             return None
         if not (self.breaker.allow(t) and self.backoff.ready(t)):
             self._count("solves_shed")
-            perf.count("service.solves_shed")
             obs.emit(
                 "session.solve_shed",
                 severity="info",
@@ -439,7 +446,6 @@ class TrackingSession:
             return None
 
         self._count("solves_attempted")
-        perf.count("service.solves_attempted")
         try:
             prepared = self.pipeline.prepare_estimate(window, imu_window)
         except DegenerateGeometryError as exc:
@@ -500,7 +506,6 @@ class TrackingSession:
             self.tracker = self._new_tracker()
             self.last_estimate = None
             self._count("tracks_dropped")
-            perf.count("service.tracks_dropped")
             obs.emit(
                 "session.track_dropped",
                 severity="warning",
@@ -516,7 +521,6 @@ class TrackingSession:
         self, t: float, window: RssiTrace, imu_window: ImuTrace
     ) -> None:
         self._count("solves_attempted")
-        perf.count("service.solves_attempted")
         try:
             with obs.span(
                 "session.solve", component="service", beacon=self.beacon_id
@@ -537,7 +541,6 @@ class TrackingSession:
 
     def _solve_degenerate(self, t: float, exc: Exception) -> None:
         self._count("solves_degenerate")
-        perf.count("service.solves_degenerate")
         obs.emit(
             "session.solve_degenerate",
             severity="warning",
@@ -550,7 +553,6 @@ class TrackingSession:
 
     def _solve_transient(self, t: float, exc: Exception) -> None:
         self._count("solves_transient_failures")
-        perf.count("service.solves_transient_failures")
         obs.emit(
             "session.solve_transient",
             severity="warning",
@@ -569,11 +571,9 @@ class TrackingSession:
         good = self._fix_quality(est)
         self.health.on_fix(t, good)
         self._count("fixes_accepted")
-        perf.count("service.fixes_accepted")
         self._emit_provenance(t, est, good)
         if not good:
             self._count("fixes_degraded")
-            perf.count("service.fixes_degraded")
 
     # -- warm-start state -----------------------------------------------------
 
@@ -598,9 +598,8 @@ class TrackingSession:
     ) -> None:
         """Complete and emit the fix's provenance record (stream layer).
 
-        Emitted at the same site as the ``service.fixes_accepted`` perf
-        counter, so event volume and counter stay exactly in step — the
-        soak harness asserts on that equality.
+        One event per accepted fix, so ``obs.counts()["fix.provenance"]``
+        is the fleet-wide accepted-fix count.
         """
         prov = getattr(est.diagnostics, "provenance", None)
         if prov is None:
@@ -758,7 +757,6 @@ class TrackingSession:
             session._warm = (
                 None if warm is None else WarmStartState.from_dict(warm)
             )
-        perf.count("service.restores")
         obs.emit(
             "session.restored",
             severity="info",

@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Optional, Sequence
 
-from repro import perf
+from repro import obs, perf
 from repro.errors import ConfigurationError
 
 __all__ = ["TrialResult", "run_trials", "effective_workers"]
@@ -116,9 +116,10 @@ def run_trials(
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_run_one, fn, seed) for seed in seeds]
                 return [f.result() for f in futures]
-    except Exception:  # noqa: BLE001 — pool failure degrades, never crashes
+    except Exception as exc:  # noqa: BLE001 — pool failure degrades, never crashes
         # Unpicklable fn, fork failure, or a broken pool: the sweep still
         # completes serially with identical (deterministic) results.
-        perf.count("parallel.pool_fallbacks")
+        obs.emit("parallel.pool_fallback", severity="warning",
+                 component="parallel", error=type(exc).__name__)
         with perf.timer("parallel.run_trials.serial"):
             return _run_serial(fn, seeds)

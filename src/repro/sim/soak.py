@@ -39,10 +39,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ConfigurationError, ReproError
 from repro.service import ServiceConfig, TrackingService
-from repro.service.session import SessionSnapshot
+from repro.service.session import SessionSnapshot, snapshot_key
 from repro.sim.faults import FaultModel
 from repro.sim.simulator import BeaconSpec, Simulator
 from repro.types import ImuSample, RssiSample, Vec2
@@ -118,13 +118,9 @@ class SoakResult:
     checkpoint_equal: Optional[bool]
     #: First stream time at which the resumed run diverged (None if never).
     divergence_t: Optional[float]
-    #: Structured-event volume by event name over the whole run (drained
-    #: from a run-scoped :class:`repro.obs.RingBufferSink`).
+    #: n-weighted event volume by event name over the whole run (from a
+    #: run-scoped :class:`repro.obs.CountingSink`): the run's counters.
     events: Dict[str, int] = field(default_factory=dict)
-    #: :mod:`repro.perf` counter deltas over the run — the cross-check
-    #: partner of :attr:`events` (e.g. ``fix.provenance`` events must equal
-    #: the ``service.fixes_accepted`` delta).
-    perf_counters: Dict[str, int] = field(default_factory=dict)
     #: Where the JSON-lines event log was written (None when not requested).
     events_jsonl: Optional[str] = None
 
@@ -175,19 +171,6 @@ def long_walk(
                 "could not place a soak-walk leg inside the bounds"
             )
     return Trajectory(pts, times)
-
-
-def _snapshot_key(snap: SessionSnapshot) -> tuple:
-    """The bit-identity contract of a snapshot.
-
-    ``estimate`` is deliberately excluded: the last in-memory estimate is
-    transient (regenerated at the next solve) and not part of the
-    checkpoint format.
-    """
-    return (
-        snap.beacon_id, snap.t, snap.state, snap.breaker_state,
-        snap.fix_age_s, snap.track, snap.buffered, snap.shed,
-    )
 
 
 def _build_stream(config: SoakConfig):
@@ -267,12 +250,9 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
     """Run one seeded soak experiment; see the module docstring.
 
     The whole run is observed through run-scoped :mod:`repro.obs` sinks: a
-    counting sink whose per-event-name totals land in
+    counting sink whose n-weighted per-event-name totals land in
     :attr:`SoakResult.events`, and (with ``events_jsonl`` set) a durable
-    JSON-lines log for ``python -m repro obs report``. The
-    :mod:`repro.perf` counter deltas over the same interval are captured
-    alongside so acceptance tests can cross-check that every fix, shed,
-    breaker trip and covariance fallback is accounted for in both ledgers.
+    JSON-lines log for ``python -m repro obs report``.
     """
     config = config or SoakConfig()
     ticks = _build_stream(config)
@@ -297,7 +277,6 @@ def _run_soak_observed(
     errors: List[str],
     counting: "obs.CountingSink",
 ) -> SoakResult:
-    perf_before = dict(perf.snapshot()["counters"])
     service = TrackingService(config.service)
     checkpoint_json: Optional[str] = None
     if config.checkpoint_t is not None:
@@ -335,7 +314,7 @@ def _run_soak_observed(
                 divergence_t = original[0].t if original else None
                 break
             for a, b in zip(original, resumed_seq):
-                if _snapshot_key(a) != _snapshot_key(b):
+                if snapshot_key(a) != snapshot_key(b):
                     checkpoint_equal = False
                     divergence_t = a.t
                     break
@@ -352,12 +331,6 @@ def _run_soak_observed(
         for beacon_id, sess in sorted(service.sessions.items())
     }
     stats = service.stats()
-    perf_after = perf.snapshot()["counters"]
-    perf_delta = {
-        name: int(count) - int(perf_before.get(name, 0))
-        for name, count in sorted(perf_after.items())
-        if int(count) - int(perf_before.get(name, 0)) > 0
-    }
     return SoakResult(
         duration_s=config.duration_s,
         ticks=len(ticks),
@@ -373,8 +346,7 @@ def _run_soak_observed(
         ),
         checkpoint_equal=checkpoint_equal,
         divergence_t=divergence_t,
-        events=dict(sorted(counting.by_name.items())),
-        perf_counters=perf_delta,
+        events=dict(sorted(counting.counts().items())),
         events_jsonl=config.events_jsonl,
     )
 

@@ -223,13 +223,12 @@ class TestSeriesIncrementalCache:
                 assert a.confidence == b.confidence
 
     def test_cache_reused_across_batches(self):
-        from repro import perf
+        from repro import obs
 
         rec = _session(seed=3, leg1=6.0, leg2=5.0)
         trace = rec.rssi_traces["b"]
         ts = trace.timestamps()
         times = list(np.arange(float(ts[0]) + 2.0, float(ts[-1]) + 2.0, 2.0))
-        perf.reset()
+        obs.reset()
         LocBLE().estimate_series(trace, rec.observer_imu.trace, times)
-        counters = perf.snapshot()["counters"]
-        assert counters.get("pipeline.pq_cache_reuses", 0) > 0
+        assert obs.counts().get("pipeline.pq_cache_reuse", 0) > 0

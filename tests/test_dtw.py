@@ -222,15 +222,14 @@ class TestSegmentMatcher:
         assert 0.0 <= result.match_fraction <= 1.0
 
     def test_envelope_cache_hits_across_candidates(self, rng):
-        from repro import perf
+        from repro import obs
 
         target = _trend_trace(rng, "t")
         cands = [_trend_trace(rng, f"c{k}", offset=-2.0 * k) for k in range(4)]
         matcher = SegmentMatcher()
-        perf.reset()
+        obs.reset()
         serial = [matcher.match(target, c).matched for c in cands]
-        hits = perf.snapshot()["counters"].get(
-            "segmatch.envelope_cache_hits", 0)
+        hits = obs.counts().get("segmatch.envelope_cache_hit", 0)
         # Each target segment's envelope is computed for the first candidate
         # and reused for the other three.
         assert hits > 0

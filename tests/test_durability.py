@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from repro import perf
+from repro import obs
 from repro.durability import (
     ChaosConfig,
     CheckpointStore,
@@ -178,15 +178,16 @@ class TestCheckpointStore:
         assert (tmp_path / "fleet-00000001.ckpt.json").exists()
         assert not list((tmp_path / "quarantine").iterdir())
 
-    def test_counters_match_perf_deltas(self, tmp_path):
-        before = dict(perf.snapshot()["counters"])
+    def test_counters_match_event_counts(self, tmp_path):
+        before = obs.counts()
         store = CheckpointStore(str(tmp_path), retain=1)
         store.save("fleet", {"k": 0}, tick=0)
         store.save("fleet", {"k": 1}, tick=1)
         store.restore_latest("fleet")
+        after = obs.counts()
         for name, n in store.counters.items():
             key = f"durability.{name}"
-            assert perf.counter_value(key) - before.get(key, 0) == n
+            assert after.get(key, 0) - before.get(key, 0) == n
 
 
 class TestFleetSupervisor:

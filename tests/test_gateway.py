@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ConfigurationError, DataQualityError
 from repro.fleet import FleetConfig, TrackingFleet
 from repro.gateway import (
@@ -265,7 +265,7 @@ class TestGatewayPolicing:
 
     def test_beacon_admission_and_queue_shed_parity(self):
         async def go():
-            perf.reset()
+            obs.reset()
             gw = small_gateway(max_beacons=1, scan_queue=2)
             client = SimulatedClient("c0", gw, ack_timeout_s=0.5)
             assert await client.send_frame(
@@ -278,7 +278,7 @@ class TestGatewayPolicing:
             await gw.drain_clients()
             # b1 queue capacity 2: three of five shed, with the ritual.
             assert gw.scan_queues["b1"].shed == 3
-            assert perf.counter_value("service.shed.gateway.scan") == 3
+            assert obs.counts()["buffer.shed"] == 3
             # b2 refused by edge admission (max_beacons=1), acked anyway.
             assert gw.counters["admission_refused"] == 1
             assert "b2" not in gw.scan_queues
@@ -287,16 +287,6 @@ class TestGatewayPolicing:
 
     def test_counter_event_parity_everywhere(self):
         # Every gateway counter must have an equal n-weighted event volume.
-        class VolumeSink:
-            def __init__(self):
-                self.volumes = {}
-
-            def write(self, event):
-                n = event.fields.get("n", 1)
-                self.volumes[event.name] = (
-                    self.volumes.get(event.name, 0)
-                    + (n if isinstance(n, int) else 1))
-
         async def go(gw, sink):
             client = SimulatedClient("c0", gw, ack_timeout_s=0.3)
             for seq, fate in enumerate([
@@ -310,8 +300,7 @@ class TestGatewayPolicing:
             await client.close()
             await gw.drain_clients()
 
-        sink = VolumeSink()
-        obs.add_sink(sink)
+        sink = obs.add_sink(obs.CountingSink())
         try:
             gw = small_gateway()
             run(go(gw, sink))
@@ -319,7 +308,7 @@ class TestGatewayPolicing:
             obs.remove_sink(sink)
         assert gw.counters  # the matrix above must have tripped some
         for name, count in gw.counters.items():
-            assert sink.volumes.get(f"gateway.{name}") == count, name
+            assert sink.count(f"gateway.{name}") == count, name
 
 
 # -- trace record/replay ------------------------------------------------------
@@ -477,7 +466,7 @@ class TestSessionIngestOrdering:
 
 class TestBufferShedParity:
     def test_extend_counts_each_shed_like_append(self):
-        perf.reset()
+        obs.reset()
         via_extend = BoundedBuffer(2, name="parity_e")
         via_extend.extend([1, 2, 3, 4, 5])
         via_append = BoundedBuffer(2, name="parity_a")
@@ -485,8 +474,9 @@ class TestBufferShedParity:
             via_append.append(v)
         assert via_extend.shed == via_append.shed == 3
         assert via_extend.items() == via_append.items()
-        assert perf.counter_value("service.shed.parity_e") == 3
-        assert perf.counter_value("service.shed.parity_a") == 3
+        shed = [e.fields["buffer"] for e in obs.tail()
+                if e.name == "buffer.shed"]
+        assert shed.count("parity_e") == shed.count("parity_a") == 3
 
     def test_extend_events_per_item(self):
         class Tally:

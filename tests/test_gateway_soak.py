@@ -1,10 +1,10 @@
 """Gateway soak acceptance: the hostile matrix, end to end.
 
 Marked ``gateway`` (excluded from tier-1): these drive real asyncio
-concurrency for seconds at a time. The acceptance criteria mirror the
-issue verbatim — the full transport fault matrix completes with zero
-untyped exceptions, every refusal/repair shows up as a paired obs event +
-perf counter, and a recorded trace replays through gateway→fleet with a
+concurrency for seconds at a time. The acceptance criteria: the full
+transport fault matrix completes with zero untyped exceptions, every
+refusal/repair shows up as an n-weighted obs event matching the gateway's
+local counter, and a recorded trace replays through gateway→fleet with a
 bit-identical snapshot stream.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.fleet import FleetConfig
 from repro.gateway import (
     GatewayConfig,
@@ -19,6 +20,7 @@ from repro.gateway import (
     GatewaySoakResult,
     run_gateway_soak,
 )
+from repro.obs.report import load_events, summarize_events
 from repro.service import ServiceConfig
 from repro.sim.faults import TransportFaultModel
 from repro.sim.load import LoadConfig
@@ -52,8 +54,21 @@ def soak_config(tmp_path=None, **kw) -> GatewaySoakConfig:
 
 
 def test_full_matrix_soak_passes_with_replay(tmp_path):
-    result = run_gateway_soak(soak_config(tmp_path))
+    log = obs.add_sink(obs.JsonLinesSink(tmp_path / "events.jsonl"))
+    before = obs.counts()
+    try:
+        result = run_gateway_soak(soak_config(tmp_path))
+    finally:
+        obs.remove_sink(log)
+        log.close()
+    after = obs.counts()
     assert result.passed, result.summary()
+    # The report sums each record's n, as the counter view does.
+    records, _ = load_events(log.path)
+    by_name = summarize_events(records)["by_name"]
+    for name in ("gateway.sample_rejected", "gateway.sample_late"):
+        assert (by_name.get(name, 0)
+                == after.get(name, 0) - before.get(name, 0)), name
     assert result.untyped_errors == 0 and result.errors == []
     assert result.parity_failures == []
     # The matrix must actually have exercised its paths.

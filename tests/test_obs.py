@@ -1,8 +1,10 @@
 """Tests for the structured observability layer (:mod:`repro.obs`).
 
 Covers the event log core, the three sinks, nesting spans, per-fix
-provenance records, the report renderer — and the soak-level cross-check
-that every counted failure path also produced exactly one event.
+provenance records, the report renderer — and the telemetry invariant: over
+a sim soak, a gateway soak and a chaos cycle, a run-scoped JSON-lines log
+accounts for exactly the run's ``obs.counts()`` delta, which in turn equals
+each harness's own local counters.
 """
 
 import json
@@ -100,6 +102,27 @@ class TestEventLog:
         log.emit("still-works")
         assert good.count("survives") == 1 and good.count("still-works") == 1
 
+    def test_counting_sink_is_n_weighted(self):
+        log = EventLog()
+        sink = log.add_sink(CountingSink())
+        log.emit("shed", n=40)
+        log.emit("shed")
+        for odd in (True, 2.5, "7", None):
+            log.emit("odd", n=odd)  # not an int: counts as 1
+        assert sink.counts() == {"shed": 41, "odd": 4}
+
+    def test_default_counts_survive_ring_eviction_until_reset(self):
+        # The default ring is bounded; the counter view counts every event
+        # since the last reset.
+        flood = obs.ring.capacity + 5
+        for _ in range(flood):
+            obs.emit("flood")
+        obs.emit("batch", n=3)
+        assert len(obs.ring) < flood
+        assert obs.counts() == {"flood": flood, "batch": 3}
+        obs.reset()
+        assert obs.counts() == {}
+
     def test_trace_ids_are_unique(self):
         log = EventLog()
         ids = {log.next_trace_id() for _ in range(50)}
@@ -120,7 +143,6 @@ class TestRingBufferSink:
         ring = log.add_sink(RingBufferSink())
         log.emit("a")
         log.emit("a")
-        assert ring.counts() == {"a": 2}
         assert [e.name for e in ring.drain()] == ["a", "a"]
         assert len(ring) == 0
 
@@ -270,23 +292,7 @@ class TestReport:
 
 
 class TestSoakEventCrossCheck:
-    """Every counted failure path must have produced exactly one event.
-
-    The equality below is the tentpole's acceptance invariant: obs events
-    and :mod:`repro.perf` counters are incremented at the same call sites,
-    so any silent path (count without event, or event without count) breaks
-    it.
-    """
-
-    #: (event name, perf counter name) pairs emitted at identical sites.
-    PAIRS = [
-        ("fix.provenance", "service.fixes_accepted"),
-        ("estimator.cov_fallback", "estimator.cov_fallbacks"),
-        ("pipeline.fallback", "pipeline.fallbacks"),
-        ("session.solve_skipped", "service.solves_skipped_nodata"),
-        ("session.solve_degenerate", "service.solves_degenerate"),
-        ("solver.warm_rejected", "estimator.warm_rejected"),
-    ]
+    """Every accepted fix leaves exactly one provenance record on disk."""
 
     @pytest.fixture(scope="class")
     def result(self, tmp_path_factory):
@@ -305,19 +311,136 @@ class TestSoakEventCrossCheck:
         assert result.untyped_errors == 0
         assert result.events.get("fix.provenance", 0) > 0
 
-    def test_event_volume_matches_perf_counters(self, result):
-        for event_name, counter_name in self.PAIRS:
-            assert (result.events.get(event_name, 0)
-                    == result.perf_counters.get(counter_name, 0)), (
-                f"{event_name} events != {counter_name} counter")
-
     def test_jsonl_log_accounts_for_every_event(self, result):
-        with open(result.events_jsonl, encoding="utf-8") as fh:
-            lines = [line for line in fh if line.strip()]
-        assert len(lines) == sum(result.events.values())
-        records = [json.loads(line) for line in lines]
+        records, malformed = load_events(result.events_jsonl)
+        assert malformed == 0
+        assert summarize_events(records)["by_name"] == result.events
         prov = [r for r in records if r["event"] == "fix.provenance"]
         assert len(prov) == result.events["fix.provenance"]
+        assert len(prov) == result.counters["fixes_accepted"]
         for r in prov:
             assert r["beacon_id"] == "b0"
             assert "cov_fallback" in r and "confidence" in r
+
+
+def _sim_soak(monkeypatch):
+    """A faulted sim soak; its local counters are the sessions' dicts."""
+    from repro.sim.faults import FaultModel
+    from repro.sim.soak import SoakConfig, run_soak
+
+    result = run_soak(SoakConfig(
+        duration_s=30.0, seed=7, fault=FaultModel(loss_rate=0.1)))
+    assert result.untyped_errors == 0
+    c = result.counters
+    local = {
+        "fix.provenance": c.get("fixes_accepted", 0),
+        "session.solve_skipped": c.get("solves_skipped_nodata", 0),
+        "session.solve_shed": c.get("solves_shed", 0),
+        "session.solve_degenerate": c.get("solves_degenerate", 0),
+        "session.solve_transient": c.get("solves_transient_failures", 0),
+        "session.track_dropped": c.get("tracks_dropped", 0),
+        "ingest.duplicate": c.get("ingest_duplicate", 0),
+        "ingest.reordered": c.get("ingest_reordered", 0),
+    }
+    assert local["fix.provenance"] > 0
+    return result.events, local, ()
+
+
+def _gateway_soak(monkeypatch):
+    """The hostile transport matrix through the gateway; its local
+    counters are ``gateway.counters``."""
+    from repro.fleet import FleetConfig
+    from repro.gateway import GatewayConfig, GatewaySoakConfig, run_gateway_soak
+    from repro.sim.faults import TransportFaultModel
+    from repro.sim.load import LoadConfig
+
+    result = run_gateway_soak(GatewaySoakConfig(
+        load=LoadConfig(duration_s=8.0, n_beacons=4, template_beacons=2,
+                        rate_hz=4.0, seed=7),
+        transport=TransportFaultModel(
+            drop_rate=0.1, duplicate_rate=0.1, reorder_rate=0.1,
+            corrupt_rate=0.05, truncate_rate=0.05, disconnect_rate=0.05),
+        # One beacon over the edge cap: its refusals carry n > 1.
+        gateway=GatewayConfig(client_timeout_s=1.0, max_beacons=3),
+        fleet=FleetConfig(n_shards=2),
+        n_clients=2, seed=1, ack_timeout_s=0.1,
+    ))
+    assert result.passed, result.summary()
+    local = {f"gateway.{k}": v for k, v in result.gateway_counters.items()}
+    assert local["gateway.admission_refused"] > 1
+    return result.event_volumes, local, ("gateway.",)
+
+
+def _chaos_cycle(monkeypatch):
+    """Kill, tear, bit-flip and recover; the local counters are the sums
+    of every gateway, supervisor and store the cycle built, plus one
+    ``supervisor.recovered`` per recovery."""
+    from repro.durability import (
+        ChaosConfig,
+        CheckpointStore,
+        FleetSupervisor,
+        run_chaos,
+    )
+    from repro.gateway import IngestionGateway
+
+    built = []
+    for cls in (IngestionGateway, FleetSupervisor, CheckpointStore):
+        def init(self, *args, _original=cls.__init__, **kwargs):
+            _original(self, *args, **kwargs)
+            built.append(self)
+        monkeypatch.setattr(cls, "__init__", init)
+
+    result = run_chaos(ChaosConfig(
+        seed=0, ticks=24, n_beacons=6, kills=1, shard_crashes=1,
+        checkpoint_every=4, durability="flush"))
+    assert result.passed, result.to_dict()
+    prefix = {IngestionGateway: "gateway.", FleetSupervisor: "supervisor.",
+              CheckpointStore: "durability."}
+    local = {"supervisor.recovered": len(result.recoveries)}
+    for obj in built:
+        for name, n in obj.counters.items():
+            key = prefix[type(obj)] + name
+            local[key] = local.get(key, 0) + n
+    return None, local, ("gateway.", "durability.", "supervisor.")
+
+
+class TestTelemetryInvariant:
+    """Counters are a view over events, so parity holds by construction.
+
+    For each harness: the n-weighted volume per event name in a run-scoped
+    JSON-lines log (as ``obs report`` sums it) equals the run's
+    ``obs.counts()`` delta, and that delta equals the harness's own local
+    counters — exactly, over whole event families where the harness owns
+    the family.
+    """
+
+    @pytest.mark.parametrize("harness", [
+        pytest.param(_sim_soak, id="sim_soak"),
+        pytest.param(_gateway_soak, id="gateway_soak",
+                     marks=pytest.mark.gateway),
+        pytest.param(_chaos_cycle, id="chaos_cycle",
+                     marks=pytest.mark.chaos),
+    ])
+    def test_event_log_volume_equals_counts(self, harness, tmp_path,
+                                            monkeypatch):
+        path = tmp_path / "run.jsonl"
+        sink = obs.add_sink(JsonLinesSink(path))
+        before = obs.counts()
+        try:
+            run_scoped, local, families = harness(monkeypatch)
+        finally:
+            obs.remove_sink(sink)
+            sink.close()
+        after = obs.counts()
+        delta = {name: after[name] - before.get(name, 0) for name in after
+                 if after[name] != before.get(name, 0)}
+
+        records, malformed = load_events(path)
+        assert malformed == 0
+        assert summarize_events(records)["by_name"] == delta
+        if run_scoped is not None:
+            assert run_scoped == delta
+        for name, n in local.items():
+            assert delta.get(name, 0) == n, name
+        owned = {name for name in delta if name.startswith(families)}
+        assert owned <= set(local), owned - set(local)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.errors import ConfigurationError
 from repro.sim.parallel import (
     MIN_PARALLEL_TRIALS,
@@ -53,12 +54,18 @@ class TestRunTrials:
                [(r.seed, r.ok, r.value) for r in pooled]
 
     def test_unpicklable_fn_falls_back_to_serial(self):
+        obs.reset()
         offset = 10.0
         closure = lambda seed: seed + offset  # noqa: E731 — not picklable
         results = run_trials(closure, range(6), max_workers=4,
                              parallel="force")
         assert [r.value for r in results] == [float(s) + 10.0
                                               for s in range(6)]
+        fallbacks = [e for e in obs.tail()
+                     if e.name == "parallel.pool_fallback"]
+        assert len(fallbacks) == 1
+        assert fallbacks[0].severity == "warning"
+        assert fallbacks[0].fields["error"]
 
     def test_auto_stays_serial_below_min_trials(self):
         n = MIN_PARALLEL_TRIALS - 1

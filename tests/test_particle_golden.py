@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import obs, perf
+from repro import obs
 from repro.core.solvers import ParticleBackend
 from repro.motion.deadreckoning import MotionTracker
 from repro.world.scenarios import scenario
@@ -39,7 +39,8 @@ _spec.loader.exec_module(bench_helpers)
 
 GOLDEN_PATH = Path(__file__).with_name("particle_golden.json")
 
-#: (perf counter, obs event) pairs the filter emits.
+#: (fixture label, obs event) of each signal the filter emits. The labels
+#: are the fixture's keys; they predate the event names.
 SIGNALS = (
     ("solver.particle_skipped", "solver.particle_skipped"),
     ("solver.particle_degenerate", "solver.particle_degenerate"),
@@ -122,9 +123,9 @@ def _fit_record(fit):
 
 def run_stream(make, options, rows):
     """Feed ``rows`` in chunks through ``make(**options)``; the fits after
-    each chunk plus the signal totals (counter and event) of the stream."""
+    each chunk plus the n-weighted signal totals of the stream, read twice:
+    from the ``obs.counts()`` counter view and from the raw event records."""
     obs.reset()
-    before = {c: perf.counter_value(c) for c, _ in SIGNALS}
     backend = make(**options)
     p, q, rss = rows
     bounds = np.linspace(0, len(p), CHUNKS + 1).astype(int)
@@ -132,11 +133,12 @@ def run_stream(make, options, rows):
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         taken.append(backend.observe(p[lo:hi], q[lo:hi], rss[lo:hi]))
         fits.append(_fit_record(backend.solve()))
-    events = obs.counts()
+    counts = obs.counts()
     signals = {
-        c: {"counter": perf.counter_value(c) - before[c],
-            "events": events.get(e, 0)}
-        for c, e in SIGNALS
+        label: {"counter": counts.get(e, 0),
+                "events": sum(ev.fields.get("n", 1) for ev in obs.tail()
+                              if ev.name == e)}
+        for label, e in SIGNALS
     }
     return {"taken": taken, "fits": fits, "signals": signals}
 

@@ -25,11 +25,6 @@ class TestRegistry:
         assert snap["timers"]["stage"]["count"] == 2
         assert snap["timers"]["stage"]["total_s"] >= 0.0
 
-    def test_counter_accumulates(self, registry):
-        registry.count("hits")
-        registry.count("hits", 4)
-        assert registry.snapshot()["counters"]["hits"] == 5
-
     def test_profiled_decorator_times_and_names(self, registry):
         @registry.profiled("my.label")
         def work(x):
@@ -58,18 +53,14 @@ class TestRegistry:
         assert work() == "ok"
         with registry.timer("quiet2"):
             pass
-        registry.count("quiet3")
-        snap = registry.snapshot()
-        assert snap["timers"] == {} and snap["counters"] == {}
+        assert registry.snapshot() == {"timers": {}}
         registry.enable()
 
     def test_reset_clears(self, registry):
         with registry.timer("t"):
             pass
-        registry.count("c")
         registry.reset()
-        snap = registry.snapshot()
-        assert snap["timers"] == {} and snap["counters"] == {}
+        assert registry.snapshot() == {"timers": {}}
 
     def test_timer_stats_track_min_max_mean(self, registry):
         for delay in (0.0, 0.001):

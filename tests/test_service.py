@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from repro import perf
+from repro import obs, perf
 from repro.core.tracking import BeaconTracker
 from repro.errors import (
     ConfigurationError,
@@ -206,6 +206,7 @@ class TestHealthMachine:
         assert hm.fix_age(10.0) == float("inf")
 
     def test_dwell_accounting(self):
+        obs.reset()
         hm = HealthMachine(HealthConfig(stale_after_s=4.0))
         hm.on_fix(2.0, good=True)
         hm.on_tick(10.0)  # STALE at 10
@@ -213,6 +214,12 @@ class TestHealthMachine:
         assert d[SessionState.ACQUIRING] == pytest.approx(2.0)
         assert d[SessionState.HEALTHY] == pytest.approx(8.0)
         assert d[SessionState.STALE] == pytest.approx(2.0)
+        # Stream-clock dwell rides on the transition events, never in the
+        # wall-clock timer registry.
+        assert [e.fields["dwell_s"] for e in obs.tail()
+                if e.name == "health.transition"] == [2.0, 8.0]
+        assert not any(name.startswith("service.dwell.")
+                       for name in perf.snapshot()["timers"])
 
     def test_checkpoint_roundtrip(self):
         hm = HealthMachine(HealthConfig(stale_after_s=3.0))
@@ -448,10 +455,12 @@ class TestBoundedBuffer:
         assert buf.shed == 1
 
     def test_shed_counts_into_perf(self):
-        perf.reset()
+        obs.reset()
         buf = BoundedBuffer(2, name="perfcase")
         buf.extend([1, 2, 3, 4])
-        assert perf.snapshot()["counters"]["service.shed.perfcase"] == 2
+        assert obs.counts()["buffer.shed"] == 2
+        assert [e.fields["buffer"] for e in obs.tail()
+                if e.name == "buffer.shed"] == ["perfcase", "perfcase"]
 
     def test_first_shed_logged_at_warning(self, caplog):
         buf = BoundedBuffer(1, name="loud")
@@ -581,15 +590,15 @@ class TestTrackingSession:
         assert snap.state == SessionState.HEALTHY
 
     def test_breaker_shedding_visible_in_perf(self):
-        perf.reset()
+        obs.reset()
         s = scripted_session(["degenerate"])
         for k in range(1, 8):
             feed(s, float(k))
-        counters = perf.snapshot()["counters"]
-        assert counters["service.breaker_trips"] == 1
-        assert counters["service.solves_shed"] == 4
+        counts = obs.counts()
+        assert counts["breaker.trip"] == 1
+        assert counts["session.solve_shed"] == 4
         # After the trip, attempted solves stop accruing.
-        assert counters["service.solves_attempted"] == 3
+        assert s.counters["solves_attempted"] == 3
 
     def test_transient_failures_back_off(self):
         s = scripted_session(["transient"])

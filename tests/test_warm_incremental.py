@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs, perf
+from repro import obs
 from repro.channel.pathloss import rss_at
 from repro.core.estimator import (
     EllipticalEstimator,
@@ -110,14 +110,12 @@ class TestWarmStartFastPath:
                                spike_rate=0.5, spike_db=25.0)
         rss_bad = spiked.values()
         obs.reset()
-        before = perf.counter_value("estimator.warm_rejected")
         warm_res = est.fit(p, q, rss_bad, warm=cold.warm)
-        after = perf.counter_value("estimator.warm_rejected")
+        rejected = obs.counts().get("solver.warm_rejected", 0)
         events = [e for e in obs.tail() if e.name == "solver.warm_rejected"]
         obs.reset()
         assert not warm_res.warm_started
-        assert after - before == 1
-        assert len(events) == 1  # counter and event at the same site
+        assert rejected == len(events) == 1
         assert events[0].fields["reason"] == "residual blow-up"
         _assert_fits_identical(warm_res, est.fit(p, q, rss_bad))
 
@@ -262,13 +260,12 @@ class TestFitBatchBitIdentity:
                     for _ in range(4)]
         seq = [est.fit(r.p, r.q, r.rss, warm=stale) for r in requests]
         obs.reset()
-        before = perf.counter_value("estimator.warm_rejected")
         bat = fit_batch(requests, default_estimator=est)
-        after = perf.counter_value("estimator.warm_rejected")
+        rejected = obs.counts().get("solver.warm_rejected", 0)
         rejections = [e for e in obs.tail()
                       if e.name == "solver.warm_rejected"]
         obs.reset()
-        assert after - before == len(rejections) == len(requests)
+        assert rejected == len(rejections) == len(requests)
         for s, b in zip(seq, bat):
             assert not b.warm_started
             _assert_fits_identical(b, s)
@@ -426,7 +423,7 @@ class TestServiceBatchTick:
         return run_soak(cfg)
 
     def test_tick_batch_matches_sequential_step(self):
-        from repro.sim.soak import _snapshot_key
+        from repro.service.session import snapshot_key
 
         seq = self._soak()
         bat = self._soak(batch_ticks=True)
@@ -436,7 +433,7 @@ class TestServiceBatchTick:
             other = bat.snapshots[beacon_id]
             assert len(snaps) == len(other)
             for a, b in zip(snaps, other):
-                assert _snapshot_key(a) == _snapshot_key(b)
+                assert snapshot_key(a) == snapshot_key(b)
 
     def test_batch_mode_checkpoint_restore_bit_identical(self):
         result = self._soak(batch_ticks=True, checkpoint_t=20.0)
