@@ -125,10 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nan-rate", type=float, default=0.0)
     p.add_argument("--checkpoint-t", type=float, default=None,
                    help="stream time of a mid-run kill-and-resume check")
-    p.add_argument("--batch", action="store_true",
-                   help="drive ticks through the batched solve dispatch "
-                        "(TrackingService.tick_batch) instead of the "
-                        "sequential per-session step")
     p.add_argument("--events-log", type=str, default=None, metavar="PATH",
                    help="write the run's structured events as JSON lines "
                         "(readable by 'repro obs report')")
@@ -477,7 +473,6 @@ def _cmd_soak(args) -> int:
         ),
         checkpoint_t=args.checkpoint_t,
         events_jsonl=args.events_log,
-        batch_ticks=args.batch,
     ))
     print(f"soak      : {result.duration_s:.0f} s stream, "
           f"{result.ticks} ticks, {args.beacons} beacon(s)")

@@ -152,7 +152,8 @@ class FleetSupervisor:
         containment boundary. A failing worker is marked failed and the
         remaining shards still produce this tick's snapshots; the failed
         shard rejoins via :meth:`_restart_shard` once its backoff and
-        breaker admit the attempt.
+        breaker admit the attempt, and its first tick back runs inside the
+        same boundary.
         """
         t = float(t)
         self._journal.append(
@@ -161,20 +162,20 @@ class FleetSupervisor:
         merged: Dict[str, SessionSnapshot] = {}
         for worker in list(self.fleet.workers):
             shard = worker.shard_id
+            fault = None
             if shard in self.failed:
-                if (self._backoffs[shard].ready(t)
+                if not (self._backoffs[shard].ready(t)
                         and self._breakers[shard].allow(t)):
-                    restarted = self._restart_shard(shard, t)
-                    if restarted is not None:
-                        merged.update(restarted.tick(
-                            t, batch=self.fleet.config.batch_ticks))
-                continue
-            try:
+                    continue
+                worker = self._restart_shard(shard, t)
+                if worker is None:
+                    continue
+            else:
                 fault = self._injected.pop(shard, None)
+            try:
                 if fault is not None:
                     raise fault
-                merged.update(worker.tick(
-                    t, batch=self.fleet.config.batch_ticks))
+                merged.update(worker.tick(t))
             except ReproError as exc:
                 self._fail_shard(shard, t, exc, typed=True)
             except Exception as exc:  # noqa: BLE001 — containment boundary
@@ -224,7 +225,10 @@ class FleetSupervisor:
         Returns the restarted worker (installed, caught up to just before
         ``t``, with this tick's ingest already delivered) ready for the
         caller to step — or ``None`` when the restart itself failed, in
-        which case backoff/breaker schedule the next attempt.
+        which case backoff/breaker schedule the next attempt. The restore
+        and the journal re-drive run inside the same containment boundary
+        as a normal step: a typed or untyped failure (a crash that recurs
+        on re-drive) becomes a ``restart_failed`` event, never a raise.
         """
         try:
             if self._last_cp is not None:
@@ -238,11 +242,12 @@ class FleetSupervisor:
                                      self._pipeline_factory)
             self.fleet.workers[shard] = worker
             redriven = self._redrive(worker, t)
-        except ReproError as exc:
+        except Exception as exc:  # noqa: BLE001 — containment boundary
             self._backoffs[shard].on_failure(t)
             self._breakers[shard].record_failure(t)
             self._event("restart_failed", severity="error", shard=shard,
-                        t=t, error=type(exc).__name__, detail=str(exc))
+                        t=t, typed=isinstance(exc, ReproError),
+                        error=type(exc).__name__, detail=str(exc))
             return None
         del self.failed[shard]
         self._backoffs[shard].reset()
@@ -268,7 +273,7 @@ class FleetSupervisor:
             if imu:
                 worker.ingest_imu(imu)
             if jt < t:
-                worker.tick(jt, batch=self.fleet.config.batch_ticks)
+                worker.tick(jt)
                 redriven += 1
         return redriven
 

@@ -74,7 +74,6 @@ class FleetConfig:
     service: ServiceConfig = field(default_factory=ServiceConfig)
     max_total_sessions: Optional[int] = None
     router_salt: str = ""
-    batch_ticks: bool = True
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -178,7 +177,7 @@ class TrackingFleet:
             raise ConfigurationError("tick time must be finite")
         merged: Dict[str, SessionSnapshot] = {}
         for worker in self.workers:
-            merged.update(worker.tick(t, batch=self.config.batch_ticks))
+            merged.update(worker.tick(t))
         return merged
 
     # -- live migration ------------------------------------------------------
@@ -298,7 +297,6 @@ class TrackingFleet:
                 "n_shards": self.config.n_shards,
                 "max_total_sessions": self.config.max_total_sessions,
                 "router_salt": self.config.router_salt,
-                "batch_ticks": self.config.batch_ticks,
             },
             "router": self.router.checkpoint(),
             "workers": [w.checkpoint() for w in self.workers],
@@ -354,7 +352,6 @@ class TrackingFleet:
                     max_total_sessions=(None if max_total is None
                                         else int(max_total)),
                     router_salt=str(cfg["router_salt"]),
-                    batch_ticks=bool(cfg["batch_ticks"]),
                 ),
                 pipeline_factory=pipeline_factory,
             )

@@ -51,7 +51,7 @@ from repro.service.session import (
     SessionConfig,
     SessionSnapshot,
     default_pipeline_factory,
-    snapshot_key,
+    snapshot_digest,
 )
 from repro.types import ImuSample, RssiSample
 
@@ -95,18 +95,6 @@ def _chain(prev_h: str, record: Dict[str, Any]) -> str:
     return digest.hexdigest()
 
 
-def snapshot_digest(snapshots: Dict[str, SessionSnapshot]) -> str:
-    """A deterministic digest of one tick's snapshot stream.
-
-    Built over the sorted :func:`~repro.service.session.snapshot_key`
-    tuples — the same bit-identity contract migration and checkpoint
-    equivalence are judged by (``estimate`` excluded; ``repr`` round-trips
-    floats exactly).
-    """
-    blob = repr([snapshot_key(snapshots[b]) for b in sorted(snapshots)])
-    return blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
-
-
 def trace_meta(gateway: IngestionGateway) -> Dict[str, Any]:
     """The header metadata :func:`replay` needs to rebuild the topology."""
     fleet_cfg = gateway.fleet.config
@@ -117,7 +105,6 @@ def trace_meta(gateway: IngestionGateway) -> Dict[str, Any]:
             "n_shards": fleet_cfg.n_shards,
             "max_total_sessions": fleet_cfg.max_total_sessions,
             "router_salt": fleet_cfg.router_salt,
-            "batch_ticks": fleet_cfg.batch_ticks,
             "service": {
                 "imu_buffer": service_cfg.imu_buffer,
                 "imu_window_s": service_cfg.imu_window_s,
@@ -150,7 +137,6 @@ def _gateway_from_meta(
             max_total_sessions=(None if max_total is None
                                 else int(max_total)),
             router_salt=str(f["router_salt"]),
-            batch_ticks=bool(f["batch_ticks"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataQualityError(

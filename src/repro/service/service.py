@@ -13,9 +13,9 @@ a unit. Design rules:
 * **Deterministic supervision.** Sessions are stepped in sorted beacon-id
   order, retry jitter is hash-derived, and all clocks are stream time —
   a checkpoint/restore cycle replays bit-identically.
-* **Typed failure only.** ``ingest_*``/``step`` never raise on data; every
-  failure mode is a counted, supervised event reported through
-  :mod:`repro.obs` and :meth:`stats`.
+* **Typed failure only.** ``ingest_*``/``tick_batch`` never raise on
+  data; every failure mode is a counted, supervised event reported
+  through :mod:`repro.obs` and :meth:`stats`.
 """
 
 from __future__ import annotations
@@ -159,34 +159,18 @@ class TrackingService:
 
     # -- stepping ------------------------------------------------------------
 
-    def step(self, t: float) -> Dict[str, SessionSnapshot]:
-        """Advance every session to stream time ``t``.
-
-        Sessions are stepped in sorted beacon-id order (determinism), each
-        against the shared IMU window. Returns per-beacon snapshots.
-        """
-        if not math.isfinite(t):
-            raise ConfigurationError("step time must be finite")
-        horizon = t - self.config.imu_window_s
-        self.imu.drop_while(lambda s: s.timestamp < horizon)
-        imu_trace = ImuTrace(self.imu.items())
-        out: Dict[str, SessionSnapshot] = {}
-        for beacon_id in sorted(self.sessions):
-            out[beacon_id] = self.sessions[beacon_id].step(t, imu_trace)
-        return out
-
     @perf.profiled("service.TrackingService.tick_batch")
     def tick_batch(self, t: float) -> Dict[str, SessionSnapshot]:
-        """Advance every session to ``t`` with ONE batched solve dispatch.
+        """Advance every session to stream time ``t``; per-beacon snapshots.
 
-        The cross-session batching path: each due session prepares its
-        solve (:meth:`TrackingSession.begin_step`), all prepared requests
+        The service's one tick: each due session prepares its solve
+        (:meth:`TrackingSession.begin_step`) in sorted beacon-id order
+        (determinism) against the shared IMU window, all prepared requests
         go through a single :func:`repro.core.estimator.fit_batch` call —
         one NumPy program for the whole shard tick instead of N Python
         solver loops — and the results are resolved back per session.
-        Produces bit-identical snapshots to :meth:`step` (the sequential
-        warm solve is itself a batch of one through the same kernel), so
-        the two paths are interchangeable tick by tick.
+        Sessions whose pipeline has no batched solve solve inline in
+        ``begin_step``.
         """
         if not math.isfinite(t):
             raise ConfigurationError("step time must be finite")

@@ -35,10 +35,11 @@ import dataclasses
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
+from hashlib import blake2b
 from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro import obs
-from repro.core.estimator import FitRequest, FitResult, WarmStartState
+from repro.core.estimator import FitRequest, FitResult, WarmStartState, fit_batch
 from repro.core.pipeline import LocBLE, PreparedEstimate
 from repro.core.solvers import SOLVERS
 from repro.core.tracking import BeaconTracker, TrackState
@@ -62,7 +63,7 @@ from repro.service.health import HealthConfig, HealthMachine, SessionState
 from repro.types import ImuTrace, LocationEstimate, RssiSample, RssiTrace
 
 __all__ = ["SessionConfig", "SessionSnapshot", "TrackingSession",
-           "PendingSolve", "snapshot_key"]
+           "PendingSolve", "snapshot_digest", "snapshot_key"]
 
 #: Checkpoint schema version written by :meth:`TrackingSession.checkpoint`.
 SESSION_CHECKPOINT_FORMAT = 1
@@ -166,7 +167,8 @@ class PendingSolve:
 
 @dataclass(frozen=True)
 class SessionSnapshot:
-    """What one session looks like after a :meth:`TrackingSession.step`."""
+    """What one session looks like at the end of a tick
+    (:meth:`TrackingSession.finish_step`)."""
 
     beacon_id: str
     t: float
@@ -192,6 +194,17 @@ def snapshot_key(snap: SessionSnapshot) -> tuple:
         snap.beacon_id, snap.t, snap.state, snap.breaker_state,
         snap.fix_age_s, snap.track, snap.buffered, snap.shed,
     )
+
+
+def snapshot_digest(snapshots: Dict[str, SessionSnapshot]) -> str:
+    """A deterministic digest of one tick's snapshot stream.
+
+    Built over the sorted :func:`snapshot_key` tuples — the same
+    bit-identity contract migration and checkpoint equivalence are judged
+    by (``estimate`` excluded; ``repr`` round-trips floats exactly).
+    """
+    blob = repr([snapshot_key(snapshots[b]) for b in sorted(snapshots)])
+    return blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
 
 class TrackingSession:
@@ -339,63 +352,33 @@ class TrackingSession:
     # -- the supervised solve loop ------------------------------------------
 
     def step(self, t: float, imu: ImuTrace) -> SessionSnapshot:
-        """Advance the session to stream time ``t``.
+        """Advance this one session to stream time ``t``.
 
-        Runs at most one solve attempt (respecting the solve period, the
-        circuit breaker and the retry backoff), updates the health machine,
-        and returns a snapshot whose ``track`` is the Kalman belief at ``t``
-        — coasted via ``predict`` when no fresh fix was accepted. Never
-        raises on data: every failure mode is a typed, counted, supervised
-        event. Caller bugs (non-finite ``t``) still raise.
+        The single-session form of
+        :meth:`~repro.service.TrackingService.tick_batch`:
+        :meth:`begin_step`, a batch of one through
+        :func:`~repro.core.estimator.fit_batch`, :meth:`resolve_solve` and
+        :meth:`finish_step`. Returns a snapshot whose ``track`` is the
+        Kalman belief at ``t`` — coasted via ``predict`` when no fresh fix
+        was accepted. Never raises on data: every failure mode is a typed,
+        counted, supervised event. Caller bugs (non-finite ``t``) still
+        raise.
         """
-        if not math.isfinite(t):
-            raise ConfigurationError("step time must be finite")
-
-        self._age_out(t)
-        due = (
-            self.last_solve_t is None
-            or t - self.last_solve_t >= self.config.solve_period_s
-        )
-        if due:
-            window = self._window(t)
-            imu_window = self._imu_window(imu, t)
-            if (len(window) < self.pipeline.estimator.min_samples
-                    or len(imu_window) < self.config.min_imu_samples):
-                self._count("solves_skipped_nodata")
-                obs.emit(
-                    "session.solve_skipped",
-                    severity="debug",
-                    component="service",
-                    beacon=self.beacon_id,
-                    t=t,
-                    rss_window=len(window),
-                    imu_window=len(imu_window),
-                )
-            elif not (self.breaker.allow(t) and self.backoff.ready(t)):
-                self._count("solves_shed")
-                obs.emit(
-                    "session.solve_shed",
-                    severity="info",
-                    component="service",
-                    beacon=self.beacon_id,
-                    t=t,
-                    breaker_state=self.breaker.state,
-                    backoff_attempt=self.backoff.attempt,
-                )
-            else:
-                self._attempt_solve(t, window, imu_window)
-
+        pending = self.begin_step(t, imu)
+        if pending is not None:
+            fit = fit_batch([pending.request], return_exceptions=True)[0]
+            self.resolve_solve(pending, fit)
         return self.finish_step(t)
 
     def begin_step(self, t: float, imu: ImuTrace) -> Optional[PendingSolve]:
-        """First half of a batched step: gating plus solve preparation.
+        """First half of a step: gating plus solve preparation.
 
-        Runs everything :meth:`step` would up to the solve itself — buffer
-        aging, the solve-period/breaker/backoff gates, window assembly, and
-        the pipeline's pre-solve stages. Returns ``None`` when no solve is
-        due this tick (or preparation failed, recorded exactly as a
-        sequential solve failure would be); otherwise a
-        :class:`PendingSolve` whose request joins the service-wide
+        Buffer aging, the solve-period/breaker/backoff/no-data gates,
+        window assembly, and the pipeline's pre-solve stages. Returns
+        ``None`` when no solve is due this tick, when preparation failed
+        (recorded as a solve failure), or when the pipeline has no batched
+        solve and solved inline; otherwise a :class:`PendingSolve` whose
+        request joins the service-wide
         :func:`~repro.core.estimator.fit_batch`. The caller must finish the
         tick with :meth:`resolve_solve` (when pending) and
         :meth:`finish_step`.
@@ -438,14 +421,15 @@ class TrackingSession:
             )
             return None
 
-        if not getattr(self.pipeline, "uses_batched_solver", True):
-            # Sequential-only solver (particle): there is no
-            # cross-session batched solve to join, so run the full solve
-            # inline — outcome accounting is identical to :meth:`step`.
-            self._attempt_solve(t, window, imu_window)
+        self._count("solves_attempted")
+        if not getattr(self.pipeline, "uses_batched_solver", False):
+            # No cross-session batched solve to join (the particle solver,
+            # or a pipeline that only has ``estimate()``): solve inline
+            # with the same outcome accounting as a batched solve.
+            self._solve(t, lambda: self.pipeline.estimate(
+                window, imu_window, warm=self._usable_warm(t)))
             return None
 
-        self._count("solves_attempted")
         try:
             prepared = self.pipeline.prepare_estimate(window, imu_window)
         except DegenerateGeometryError as exc:
@@ -474,26 +458,14 @@ class TrackingSession:
         return_exceptions=True)`` — either a
         :class:`~repro.core.estimator.FitResult` or the exception its solve
         raised. Failure classification, breaker/backoff bookkeeping, fix
-        acceptance and provenance emission match :meth:`step`'s sequential
-        path exactly.
+        acceptance and provenance emission match the inline solve exactly.
         """
-        t = pending.t
-        try:
-            with obs.span(
-                "session.solve", component="service", beacon=self.beacon_id
-            ):
-                if isinstance(fit, BaseException):
-                    raise fit
-                est = self.pipeline.complete_estimate(pending.prepared, fit)
-                self.tracker.update(t, est)
-        except DegenerateGeometryError as exc:
-            self._solve_degenerate(t, exc)
-        except (DataQualityError, InsufficientDataError, EstimationError) as exc:
-            self._solve_transient(t, exc)
-        else:
-            self._solve_succeeded(t, est)
-        finally:
-            self.last_solve_t = t
+        def complete() -> LocationEstimate:
+            if isinstance(fit, BaseException):
+                raise fit
+            return self.pipeline.complete_estimate(pending.prepared, fit)
+
+        self._solve(pending.t, complete)
 
     def finish_step(self, t: float) -> SessionSnapshot:
         """Tail of a step: health tick, LOST handling, and the snapshot."""
@@ -517,16 +489,13 @@ class TrackingSession:
 
         return self._snapshot(t)
 
-    def _attempt_solve(
-        self, t: float, window: RssiTrace, imu_window: ImuTrace
-    ) -> None:
-        self._count("solves_attempted")
+    def _solve(self, t: float, solve: Callable[[], LocationEstimate]) -> None:
+        """Run one solve attempt (inline or batched) and record its outcome."""
         try:
             with obs.span(
                 "session.solve", component="service", beacon=self.beacon_id
             ):
-                est = self.pipeline.estimate(
-                    window, imu_window, warm=self._usable_warm(t))
+                est = solve()
                 self.tracker.update(t, est)
         except DegenerateGeometryError as exc:
             self._solve_degenerate(t, exc)
@@ -537,7 +506,7 @@ class TrackingSession:
         finally:
             self.last_solve_t = t
 
-    # -- solve outcome handlers (shared by step and the batched path) ---------
+    # -- solve outcome handlers (shared by the inline and batched solves) -----
 
     def _solve_degenerate(self, t: float, exc: Exception) -> None:
         self._count("solves_degenerate")

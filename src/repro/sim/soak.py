@@ -24,7 +24,9 @@ set it additionally performs a *kill-and-resume*: the service is
 checkpointed at that stream time (through a JSON round trip, i.e. exactly
 what a process restart would read back from disk), a fresh service is
 restored from it, and both the uninterrupted original and the resumed copy
-replay the remaining stream — their snapshot sequences must match exactly.
+replay the remaining stream — every tick's
+:func:`~repro.service.session.snapshot_digest` must match, the same
+contract the gateway soak and the chaos harness judge by.
 
 Everything is seeded and deterministic; ``python -m repro soak`` wraps this
 module for the command line.
@@ -42,7 +44,7 @@ import numpy as np
 from repro import obs
 from repro.errors import ConfigurationError, ReproError
 from repro.service import ServiceConfig, TrackingService
-from repro.service.session import SessionSnapshot, snapshot_key
+from repro.service.session import SessionSnapshot, snapshot_digest
 from repro.sim.faults import FaultModel
 from repro.sim.simulator import BeaconSpec, Simulator
 from repro.types import ImuSample, RssiSample, Vec2
@@ -70,12 +72,6 @@ class SoakConfig:
     #: (readable by ``python -m repro obs report``). The in-memory event
     #: accounting in :attr:`SoakResult.events` happens either way.
     events_jsonl: Optional[str] = None
-    #: Drive the service through :meth:`TrackingService.tick_batch`
-    #: (one batched solve dispatch per tick) instead of the sequential
-    #: :meth:`~TrackingService.step` — the two must produce identical
-    #: snapshot streams, so soaking the batch path is a standing
-    #: equivalence check against the sequential one.
-    batch_ticks: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
@@ -116,7 +112,9 @@ class SoakResult:
     #: Kill-and-resume verdict: ``None`` when no checkpoint was requested,
     #: else whether the resumed run matched the uninterrupted one exactly.
     checkpoint_equal: Optional[bool]
-    #: First stream time at which the resumed run diverged (None if never).
+    #: First stream time at which the resumed run's tick snapshot digest
+    #: differed from the uninterrupted run's, over all beacons (None if
+    #: never).
     divergence_t: Optional[float]
     #: n-weighted event volume by event name over the whole run (from a
     #: run-scoped :class:`repro.obs.CountingSink`): the run's counters.
@@ -221,29 +219,33 @@ def _build_stream(config: SoakConfig):
 def _drive(
     service: TrackingService,
     ticks,
-    errors: List[str],
-    batch: bool = False,
-) -> Dict[str, List[SessionSnapshot]]:
+    caught: List[Tuple[str, bool]],
+) -> Tuple[Dict[str, List[SessionSnapshot]], List[Tuple[float, Optional[str]]]]:
     """Replay ingest batches into a service, capturing every exception.
 
     The service's contract is to *never* raise on data; anything caught
     here is recorded as a soak failure rather than aborting the run, so a
-    single bug cannot hide later ones. With ``batch`` the stream is
-    stepped through :meth:`TrackingService.tick_batch` instead of
-    :meth:`~TrackingService.step`.
+    single bug cannot hide later ones. Each is classified as it is caught:
+    ``("ExcType: message", typed)`` goes to ``caught``. Returns the
+    per-beacon snapshot sequences and one ``(t, snapshot_digest)`` per
+    tick (digest ``None`` for a tick that raised).
     """
     out: Dict[str, List[SessionSnapshot]] = {}
+    digests: List[Tuple[float, Optional[str]]] = []
     for t, scan_batch, imu_batch in ticks:
         try:
             service.ingest_scans(scan_batch)
             service.ingest_imu(imu_batch)
-            snaps = (service.tick_batch(t) if batch else service.step(t))
+            snaps = service.tick_batch(t)
         except Exception as exc:  # noqa: BLE001 — the whole point of a soak
-            errors.append(f"{type(exc).__name__}: {exc}")
+            caught.append((f"{type(exc).__name__}: {exc}",
+                           isinstance(exc, ReproError)))
+            digests.append((t, None))
             continue
+        digests.append((t, snapshot_digest(snaps)))
         for beacon_id, snap in snaps.items():
             out.setdefault(beacon_id, []).append(snap)
-    return out
+    return out, digests
 
 
 def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
@@ -256,14 +258,14 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
     """
     config = config or SoakConfig()
     ticks = _build_stream(config)
-    errors: List[str] = []
+    caught: List[Tuple[str, bool]] = []
 
     counting = obs.add_sink(obs.CountingSink())
     jsonl: Optional[obs.JsonLinesSink] = None
     if config.events_jsonl is not None:
         jsonl = obs.add_sink(obs.JsonLinesSink(config.events_jsonl))
     try:
-        return _run_soak_observed(config, ticks, errors, counting)
+        return _run_soak_observed(config, ticks, caught, counting)
     finally:
         obs.remove_sink(counting)
         if jsonl is not None:
@@ -274,11 +276,12 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
 def _run_soak_observed(
     config: SoakConfig,
     ticks,
-    errors: List[str],
+    caught: List[Tuple[str, bool]],
     counting: "obs.CountingSink",
 ) -> SoakResult:
     service = TrackingService(config.service)
-    checkpoint_json: Optional[str] = None
+    checkpoint_equal: Optional[bool] = None
+    divergence_t: Optional[float] = None
     if config.checkpoint_t is not None:
         cut = next(
             (i for i, (t, _, _) in enumerate(ticks)
@@ -286,40 +289,19 @@ def _run_soak_observed(
             len(ticks) - 1,
         )
         head, tail = ticks[: cut + 1], ticks[cut + 1:]
-        snapshots = _drive(service, head, errors, batch=config.batch_ticks)
+        snapshots, _ = _drive(service, head, caught)
         # The kill: what a restarting process would read back from disk.
         checkpoint_json = json.dumps(service.checkpoint())
-        for beacon_id, snaps in _drive(service, tail, errors,
-                                       batch=config.batch_ticks).items():
+        tail_snaps, original = _drive(service, tail, caught)
+        for beacon_id, snaps in tail_snaps.items():
             snapshots.setdefault(beacon_id, []).extend(snaps)
         resumed = TrackingService.restore(json.loads(checkpoint_json))
-        resumed_snaps = _drive(resumed, tail, errors,
-                               batch=config.batch_ticks)
+        _, replayed = _drive(resumed, tail, caught)
+        divergence_t = next(
+            (a[0] for a, b in zip(original, replayed) if a != b), None)
+        checkpoint_equal = divergence_t is None
     else:
-        tail = []
-        snapshots = _drive(service, ticks, errors,
-                           batch=config.batch_ticks)
-        resumed_snaps = None
-
-    checkpoint_equal: Optional[bool] = None
-    divergence_t: Optional[float] = None
-    if resumed_snaps is not None:
-        checkpoint_equal = True
-        n_tail = len(tail)
-        for beacon_id, full in sorted(snapshots.items()):
-            original = full[len(full) - n_tail:]
-            resumed_seq = resumed_snaps.get(beacon_id, [])
-            if len(original) != len(resumed_seq):
-                checkpoint_equal = False
-                divergence_t = original[0].t if original else None
-                break
-            for a, b in zip(original, resumed_seq):
-                if snapshot_key(a) != snapshot_key(b):
-                    checkpoint_equal = False
-                    divergence_t = a.t
-                    break
-            if not checkpoint_equal:
-                break
+        snapshots, _ = _drive(service, ticks, caught)
 
     t_end = ticks[-1][0] if ticks else 0.0
     transitions = {
@@ -339,26 +321,11 @@ def _run_soak_observed(
         dwell=dwell,
         counters=dict(stats["counters"]),
         stats=stats,
-        errors=tuple(errors),
-        untyped_errors=sum(
-            1 for e in errors
-            if not e.split(":", 1)[0] in _REPRO_ERROR_NAMES
-        ),
+        errors=tuple(message for message, _ in caught),
+        untyped_errors=sum(1 for _, typed in caught if not typed),
         checkpoint_equal=checkpoint_equal,
         divergence_t=divergence_t,
         events=dict(sorted(counting.counts().items())),
         events_jsonl=config.events_jsonl,
     )
 
-
-def _repro_error_names() -> frozenset:
-    names = set()
-    stack = [ReproError]
-    while stack:
-        cls = stack.pop()
-        names.add(cls.__name__)
-        stack.extend(cls.__subclasses__())
-    return frozenset(names)
-
-
-_REPRO_ERROR_NAMES = _repro_error_names()

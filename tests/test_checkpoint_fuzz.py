@@ -64,7 +64,7 @@ def _live_service() -> TrackingService:
         ])
         svc.ingest_imu([ImuSample(t - 0.4 + 0.1 * i, 0.5, 0.0, 0.0)
                         for i in range(4)])
-        svc.step(t)
+        svc.tick_batch(t)
     return svc
 
 

@@ -34,7 +34,7 @@ from repro.gateway import IngestionGateway, TraceWriter, trace_meta
 from repro.gateway.gateway import GatewayConfig
 from repro.gateway.trace import snapshot_digest
 from repro.service import BackoffConfig
-from repro.types import LocationEstimate, RssiSample, Vec2
+from repro.types import ImuSample, LocationEstimate, RssiSample, Vec2
 
 
 class _StubEstimator:
@@ -50,6 +50,13 @@ class _OkPipeline:
         return LocationEstimate(
             position=Vec2(0.1 * t, 1.0), confidence=0.9, position_std=0.5
         )
+
+
+class _CrashingPipeline(_OkPipeline):
+    """Every solve crashes untyped — including on a restart's re-drive."""
+
+    def estimate(self, trace, imu, warm=None, extra_seeds=()):
+        raise RuntimeError("solver crashed")
 
 
 def _scan(t, beacon):
@@ -252,6 +259,27 @@ class TestFleetSupervisor:
         assert sup.counters["checkpoint_deferred"] == 1
         # The journal kept growing so the restart can still re-drive.
         assert sup.stats()["supervisor"]["journal_ticks"] >= 1
+
+    def test_untyped_crash_during_restart_redrive_is_contained(self):
+        fleet = TrackingFleet(FleetConfig(n_shards=2),
+                              pipeline_factory=_CrashingPipeline)
+        sup = FleetSupervisor(fleet, checkpoint_every=4,
+                              pipeline_factory=_CrashingPipeline)
+        ring = obs.add_sink(obs.RingBufferSink())
+        try:
+            for k in range(1, 31):
+                t = float(k)
+                sup.ingest_imu([ImuSample(t - 1.0 + 0.05 * i, 0.5, 0.0, 0.0)
+                                for i in range(20)])
+                _drive(sup, t)  # never raises: every crash is contained
+        finally:
+            obs.remove_sink(ring)
+        assert sorted(sup.failed) == [0, 1]
+        restart_failed = [e for e in ring.tail()
+                          if e.name == "supervisor.restart_failed"]
+        assert restart_failed
+        assert all(e.fields["typed"] is False for e in restart_failed)
+        assert sup.counters["restart_failed"] == len(restart_failed)
 
     def test_stats_exposes_supervisor_block(self):
         sup = _supervised()

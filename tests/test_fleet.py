@@ -19,6 +19,7 @@ from repro.fleet import (
     snapshot_key,
 )
 from repro.service import ServiceConfig, TrackingService
+from repro.service.session import snapshot_digest
 from repro.types import ImuSample, LocationEstimate, RssiSample, Vec2
 
 
@@ -40,16 +41,12 @@ class _OkPipeline:
 
 
 def make_fleet(n_shards=2, max_sessions=256, max_total=None, salt=""):
-    # batch_ticks=False: the stub pipeline implements only the sequential
-    # solve protocol (tick_batch is bit-identical by contract and is
-    # exercised with the real pipeline in the fleet-marked tests below).
     return TrackingFleet(
         FleetConfig(
             n_shards=n_shards,
             service=ServiceConfig(max_sessions=max_sessions),
             max_total_sessions=max_total,
             router_salt=salt,
-            batch_ticks=False,
         ),
         pipeline_factory=_OkPipeline,
     )
@@ -129,6 +126,16 @@ class TestFleetRouting:
             assert fleet.shard_of(bid) == fleet.router.shard_for(bid)
         assert fleet.total_sessions == len(BEACONS)
 
+    def test_default_fleet_solves_estimate_only_pipeline_inline(self):
+        # A duck-typed pipeline with only estimate() has no batched solve:
+        # the default fleet tick solves it inline instead of crashing.
+        fleet = TrackingFleet(FleetConfig(), pipeline_factory=_OkPipeline)
+        for k in range(1, 7):
+            snaps = feed_fleet(fleet, float(k), BEACONS)
+        assert sorted(snaps) == sorted(BEACONS)
+        assert all(s.track is not None for s in snaps.values())
+        assert fleet.stats()["counters"]["fixes_accepted"] >= len(BEACONS)
+
     def test_matches_single_service_bit_for_bit(self):
         # Sharding is pure partitioning: per-beacon snapshot streams must
         # equal one unsharded service fed the same stream.
@@ -139,7 +146,7 @@ class TestFleetRouting:
             fleet_snaps = feed_fleet(fleet, t, BEACONS)
             svc.ingest_scans(scans_for(t, BEACONS))
             svc.ingest_imu(imu_for(t))
-            svc_snaps = svc.step(t)
+            svc_snaps = svc.tick_batch(t)
             assert sorted(fleet_snaps) == sorted(svc_snaps)
             for bid in svc_snaps:
                 assert snapshot_key(fleet_snaps[bid]) == snapshot_key(
@@ -260,6 +267,22 @@ class TestFleetCheckpoint:
             assert sorted(a) == sorted(b)
             for bid in a:
                 assert snapshot_key(a[bid]) == snapshot_key(b[bid])
+
+    @pytest.mark.parametrize("legacy", [True, False])
+    def test_legacy_batch_ticks_key_is_ignored(self, legacy):
+        full = make_fleet(n_shards=2)
+        part = make_fleet(n_shards=2)
+        for k in range(1, 4):
+            feed_fleet(full, float(k), BEACONS)
+            feed_fleet(part, float(k), BEACONS)
+        cp = json.loads(json.dumps(part.checkpoint()))
+        assert "batch_ticks" not in cp["config"]
+        cp["config"]["batch_ticks"] = legacy  # as older writers stored it
+        resumed = TrackingFleet.restore(cp, pipeline_factory=_OkPipeline)
+        for k in range(4, 8):
+            a = feed_fleet(full, float(k), BEACONS)
+            b = feed_fleet(resumed, float(k), BEACONS)
+            assert snapshot_digest(a) == snapshot_digest(b)
 
     def test_cross_field_inconsistencies_rejected(self):
         fleet = make_fleet(n_shards=2)

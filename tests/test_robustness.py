@@ -554,7 +554,7 @@ class TestServiceNeverCrashUndiagnosed:
             )
             svc.ingest_imu(imu.samples)
             for k in range(1, steps + 1):
-                svc.step(float(k))
+                svc.tick_batch(float(k))
         except ReproError as exc:  # typed escapes are also forbidden here
             raise AssertionError(
                 f"service raised on data: {type(exc).__name__}: {exc}"

@@ -690,7 +690,7 @@ def feed_service(svc, t, beacon_ids=("a", "b")):
     ])
     svc.ingest_imu([ImuSample(t - 0.4 + 0.1 * i, 0.5, 0.0, 0.0)
                     for i in range(4)])
-    return svc.step(t)
+    return svc.tick_batch(t)
 
 
 class TestTrackingService:
@@ -720,7 +720,7 @@ class TestTrackingService:
     def test_nonfinite_step_time_raises(self):
         svc = service_with_stub()
         with pytest.raises(ConfigurationError):
-            svc.step(float("inf"))
+            svc.tick_batch(float("inf"))
 
     def test_stats_aggregates_sessions(self):
         svc = service_with_stub()
@@ -793,12 +793,12 @@ class TestServiceRealPipeline:
                 [s for s in scans if t - 1.0 <= s.timestamp < t])
             svc.ingest_imu(
                 [s for s in imu if t - 1.0 <= s.timestamp < t])
-            snaps.append(svc.step(t)["b"])
+            snaps.append(svc.tick_batch(t)["b"])
         assert snaps[-1].state == SessionState.HEALTHY
         assert snaps[-1].track is not None
         # And the whole thing survives a JSON kill-and-resume.
         resumed = TrackingService.restore(
             json.loads(json.dumps(svc.checkpoint())))
-        a = svc.step(float(t_end + 1))["b"]
-        b = resumed.step(float(t_end + 1))["b"]
+        a = svc.tick_batch(float(t_end + 1))["b"]
+        b = resumed.tick_batch(float(t_end + 1))["b"]
         assert (a.t, a.state, a.track) == (b.t, b.state, b.track)

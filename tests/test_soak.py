@@ -1,9 +1,11 @@
 """Soak-harness tests: fast smoke in tier-1, full runs behind `-m soak`."""
 
+import dataclasses
+
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.service import ServiceConfig, SessionConfig
+from repro.errors import ConfigurationError, ReproError
+from repro.service import ServiceConfig, SessionConfig, TrackingService
 from repro.service.health import HealthConfig
 from repro.sim.faults import FaultModel
 from repro.sim.soak import SoakConfig, SoakResult, run_soak
@@ -147,3 +149,66 @@ class TestSoakFull:
         ))
         assert r.untyped_errors == 0
         assert r.stats["sessions"] == 3
+
+
+class _LateTypedError(ReproError):
+    """A typed error class created after :mod:`repro.sim.soak` imported."""
+
+
+class DataQualityError(Exception):
+    """An untyped look-alike sharing a typed error's class name."""
+
+
+class TestSoakVerdicts:
+    """Errors are classified by type when caught, and kill/resume is judged
+    by per-tick snapshot digest across all beacons."""
+
+    def test_errors_classified_by_type_not_name(self, monkeypatch):
+        tick_batch = TrackingService.tick_batch
+        raises = {3.0: _LateTypedError, 5.0: _LateTypedError,
+                  7.0: DataQualityError}
+
+        def flaky(self, t):
+            if t in raises:
+                raise raises[t](f"scripted at t={t}")
+            return tick_batch(self, t)
+
+        monkeypatch.setattr(TrackingService, "tick_batch", flaky)
+        result = run_soak(smoke_config(duration_s=10.0, checkpoint_t=None,
+                                       fault=FaultModel(loss_rate=0.1)))
+        assert len(result.errors) == 3
+        assert result.untyped_errors == 1
+
+    def test_divergence_t_is_earliest_across_beacons(self, monkeypatch):
+        # The resumed run's b1 diverges one tick after the kill, b0 three
+        # ticks after: the verdict names b1's (earlier) tick even though
+        # b0 sorts first.
+        restore = TrackingService.restore.__func__
+        perturb_at = {1: "b1", 3: "b0"}
+
+        def restore_perturbed(cls, cp, **kw):
+            resumed = restore(cls, cp, **kw)
+            tick_batch = resumed.tick_batch
+            calls = []
+
+            def tick(t):
+                snaps = tick_batch(t)
+                beacon = perturb_at.get(len(calls))
+                calls.append(t)
+                if beacon is not None:
+                    snaps[beacon] = dataclasses.replace(
+                        snaps[beacon], shed=snaps[beacon].shed + 1)
+                return snaps
+
+            resumed.tick_batch = tick
+            return resumed
+
+        monkeypatch.setattr(TrackingService, "restore",
+                            classmethod(restore_perturbed))
+        result = run_soak(smoke_config(duration_s=20.0, checkpoint_t=10.0,
+                                       n_beacons=2,
+                                       fault=FaultModel(loss_rate=0.1)))
+        assert sorted(result.snapshots) == ["b0", "b1"]
+        assert result.errors == ()
+        assert result.checkpoint_equal is False
+        assert result.divergence_t == 12.0  # tail ticks are 11, 12, ...

