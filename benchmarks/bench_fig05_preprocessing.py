@@ -27,6 +27,7 @@ from helpers import print_series, run_experiment
 from repro.core.anf import AdaptiveNoiseFilter
 from repro.core.estimator import EllipticalEstimator
 from repro.core.pipeline import LocBLE
+from repro.fleet.router import _stable_hash
 from repro.sim.simulator import BeaconSpec, Simulator
 from repro.types import Vec2
 from repro.world.floorplan import Floorplan
@@ -68,7 +69,7 @@ def _workload_errors(pipeline_factory) -> np.ndarray:
         plan = Floorplan(f"tr_{material}", 14.0, 10.0,
                          obstacles=[wall(6.8, 0.0, 6.8, 5.2, material)])
         for seed in range(N_SEEDS):
-            rng = np.random.default_rng(abs(hash(material)) % 512 + seed)
+            rng = np.random.default_rng(_stable_hash(material) % 512 + seed)
             sim = Simulator(plan, rng)
             rec = sim.simulate(_transition_walk(), [
                 BeaconSpec("t", position=Vec2(9.5, 6.0))

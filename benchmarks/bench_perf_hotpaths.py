@@ -26,7 +26,7 @@ from typing import Callable, Dict
 import numpy as np
 import pytest
 
-from repro import perf
+from repro import obs
 from repro.core.estimator import EllipticalEstimator, FitRequest, fit_batch
 from repro.dtw.dtw import _dtw_distance_reference, dtw_distance
 from repro.sim.montecarlo import stationary_trials
@@ -226,7 +226,7 @@ def bench_parallel() -> Dict[str, object]:
 
 
 def build_report() -> Dict[str, object]:
-    perf.reset()
+    obs.reset()
     benches = {
         "estimator_grid_search": bench_estimator(),
         "estimator_warm_start": bench_warm_start(),
@@ -241,7 +241,7 @@ def build_report() -> Dict[str, object]:
             "numpy": np.__version__,
         },
         "benches": benches,
-        "perf_snapshot": perf.snapshot(),
+        "perf_snapshot": {"timers": obs.timings()},
     }
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro import perf
+from repro import obs
 from repro.errors import ConfigurationError, DataQualityError
 from repro.filters.butterworth import ButterworthLowPass
 from repro.filters.kalman import adaptive_kalman_fuse
@@ -45,7 +45,7 @@ class AdaptiveNoiseFilter:
         if self.cutoff_hz <= 0:
             raise ConfigurationError("cutoff_hz must be positive")
 
-    @perf.profiled("anf.AdaptiveNoiseFilter.apply")
+    @obs.span("anf.AdaptiveNoiseFilter.apply", component="anf")
     def apply(self, values: Sequence[float], fs_hz: float) -> np.ndarray:
         """Filter one RSS value sequence sampled near ``fs_hz``.
 

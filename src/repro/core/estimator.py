@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro import obs, perf
+from repro import obs
 from repro.channel.pathloss import MIN_DISTANCE_M, rss_at
 from repro.errors import (
     DataQualityError,
@@ -244,7 +244,7 @@ class EllipticalEstimator:
             gamma_prior_sigma=self.ENV_GAMMA_SIGMAS[env_class],
         )
 
-    @perf.profiled("estimator.EllipticalEstimator.fit")
+    @obs.span("estimator.EllipticalEstimator.fit", component="estimator")
     def fit(
         self,
         p: Sequence[float],
@@ -1102,7 +1102,7 @@ def _solve_warm_group(
     return out
 
 
-@perf.profiled("estimator.fit_batch")
+@obs.span("estimator.fit_batch", component="estimator")
 def fit_batch(
     requests: Sequence[FitRequest],
     default_estimator: Optional[EllipticalEstimator] = None,

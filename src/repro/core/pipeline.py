@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro import obs, perf
+from repro import obs
 from repro.channel.pathloss import distance_for_rss
 from repro.core.anf import AdaptiveNoiseFilter
 from repro.core.confidence import estimation_confidence
@@ -252,7 +252,7 @@ class LocBLE:
 
     # -- public API ---------------------------------------------------------
 
-    @perf.profiled("pipeline.LocBLE.estimate")
+    @obs.span("pipeline.LocBLE.estimate", component="pipeline")
     def estimate(
         self,
         rssi_trace: RssiTrace,
@@ -333,7 +333,6 @@ class LocBLE:
                 continue
         return out
 
-    @perf.profiled("pipeline.LocBLE.estimate_series")
     def estimate_series(
         self,
         rssi_trace: RssiTrace,

@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import perf
 from repro.errors import ConfigurationError
 
 __all__ = ["DtwResult", "dtw_distance", "dtw_full"]
@@ -165,7 +164,6 @@ def _dtw_rowwise(a: np.ndarray, b: np.ndarray, w: int) -> float:
     return float(prev[m])
 
 
-@perf.profiled("dtw.dtw_distance")
 def dtw_distance(
     a: Sequence[float], b: Sequence[float], window: Optional[int] = None
 ) -> float:
@@ -205,7 +203,6 @@ def _dtw_distance_reference(
     return float(prev[m])
 
 
-@perf.profiled("dtw.dtw_full")
 def dtw_full(
     a: Sequence[float], b: Sequence[float], window: Optional[int] = None
 ) -> DtwResult:

@@ -23,7 +23,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro import obs, perf
+from repro import obs
 from repro.dtw.dtw import dtw_distance
 from repro.dtw.lowerbound import envelope, lb_keogh
 from repro.errors import ConfigurationError, InsufficientDataError
@@ -188,13 +188,13 @@ class SegmentMatcher:
             n_dtw_runs=n_dtw_runs,
         )
 
-    @perf.profiled("segmatch.SegmentMatcher.match")
+    @obs.span("segmatch.SegmentMatcher.match", component="segmatch")
     def match(self, target: RssiTrace, candidate: RssiTrace) -> MatchResult:
         """Vote on whether ``candidate`` follows the target's RSS trend."""
         segments, scale = self._prepare_target(target)
         return self._match_prepared(segments, scale, candidate)
 
-    @perf.profiled("segmatch.SegmentMatcher.match_many")
+    @obs.span("segmatch.SegmentMatcher.match_many", component="segmatch")
     def match_many(
         self, target: RssiTrace, candidates: List[RssiTrace]
     ) -> List[MatchResult]:

@@ -2,9 +2,9 @@
 
 A :class:`ShardWorker` owns exactly one
 :class:`~repro.service.TrackingService` plus the shard-level bookkeeping
-the fleet needs: tick counts, per-tick solve timing (into :mod:`repro.perf`
-under ``fleet.shard_tick``), and checkpoint/restore that carries the shard
-id. Workers are in-process multi-instance by design — every service is
+the fleet needs: tick counts, the wall time of the last tick
+(``stats()["last_tick_wall_s"]``), and checkpoint/restore that carries the
+shard id. Workers are in-process multi-instance by design — every service is
 already bounded, deterministic and checkpointable, so a worker can be
 lifted into a separate process later without changing its contract; on
 this repo's single-CPU reference host the in-process form is also the
@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Iterable, Optional
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import DataQualityError
 from repro.service import ServiceConfig, TrackingService
 from repro.service.checkpoint import restore_guard
@@ -58,7 +58,6 @@ class ShardWorker:
         snaps = self.service.tick_batch(t)
         self.last_tick_wall_s = time.perf_counter() - start
         self.ticks += 1
-        perf.record("fleet.shard_tick", self.last_tick_wall_s)
         return snaps
 
     # -- reporting -----------------------------------------------------------

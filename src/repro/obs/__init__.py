@@ -7,9 +7,10 @@ makes those paths loud without making them fragile — every fallback becomes
 a typed, JSON-serialisable event, and the emitting code path never slows
 down meaningfully or crashes because of telemetry. The event is also the
 counter: :func:`counts` is the n-weighted volume of each event name, so
-there is one call per signal and nothing to keep in step.
+there is one call per signal and nothing to keep in step. The span is also
+the timer: :func:`timings` sums each span name's ``span`` event durations.
 
-Like :mod:`repro.perf`, the module doubles as a process-wide facade::
+The module doubles as a process-wide facade::
 
     from repro import obs
 
@@ -20,10 +21,16 @@ Like :mod:`repro.perf`, the module doubles as a process-wide facade::
         result = locble.estimate(trace)
         sp.annotate(confidence=result.confidence)
 
+    @obs.span("anf.AdaptiveNoiseFilter.apply", component="anf")
+    def apply(self, values, fs_hz): ...
+
+    obs.timings()["pipeline.estimate"]["mean_s"]
+
 A bounded :class:`~repro.obs.sinks.RingBufferSink` and a
 :class:`~repro.obs.sinks.CountingSink` are always attached, so the most
-recent events (``obs.tail()``) and every event's running total
-(``obs.counts()``) are inspectable even when nothing was configured; extra
+recent events (``obs.tail()``), every event's running total
+(``obs.counts()``) and every span name's wall-clock aggregate
+(``obs.timings()``) are inspectable even when nothing was configured; extra
 sinks (a :class:`~repro.obs.sinks.JsonLinesSink` file, a run-scoped
 :class:`~repro.obs.sinks.CountingSink`) attach and detach freely. See
 ``docs/observability.md`` for the event schema and the list of events each
@@ -57,6 +64,7 @@ __all__ = [
     "remove_sink",
     "tail",
     "counts",
+    "timings",
     "drain",
     "reset",
     "enable",
@@ -69,7 +77,8 @@ log = EventLog()
 #: The always-attached in-memory tail (drained by the soak harness).
 ring: RingBufferSink = log.add_sink(RingBufferSink())
 
-#: The always-attached counter view behind :func:`counts`.
+#: The always-attached counter and timer view behind :func:`counts` and
+#: :func:`timings`.
 _counting: CountingSink = log.add_sink(CountingSink())
 
 
@@ -126,6 +135,18 @@ def counts() -> Dict[str, int]:
     return _counting.counts()
 
 
+def timings() -> Dict[str, Dict[str, float]]:
+    """Wall-clock seconds per span name since the last :func:`reset`.
+
+    This is the library's only in-process timer store: each entry sums the
+    ``duration_s`` of every ``span`` event of that name, as
+    ``{count, total_s, mean_s, min_s, max_s}`` — the same aggregation
+    ``python -m repro obs report`` applies to a log file. Spans closed while
+    the log is disabled emit no event and so are not timed.
+    """
+    return _counting.timings()
+
+
 def drain() -> List[Event]:
     """Remove and return everything buffered in the default ring."""
     return ring.drain()
@@ -135,7 +156,8 @@ def reset() -> None:
     """Detach every sink, restart numbering, re-attach a fresh default
     ring and counter view.
 
-    Test isolation helper — mirrors :func:`repro.perf.reset`.
+    Test isolation helper; it also clears :func:`counts` and
+    :func:`timings`.
     """
     global ring, _counting
     log.reset()
@@ -149,5 +171,5 @@ def enable() -> None:
 
 
 def disable() -> None:
-    """Stop emitting (sinks stay attached; spans still time into perf)."""
+    """Stop emitting (sinks stay attached; spans run untimed)."""
     log.disable()

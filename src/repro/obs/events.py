@@ -9,8 +9,8 @@ and every structured detail the emitter attached (``fields``).
 The :class:`EventLog` is deliberately tiny and dependency-free: a lock, a
 sequence counter, and a list of sinks. Emission cost while enabled is one
 dataclass construction plus one fan-out loop; while disabled it is a single
-boolean check, so the instrumented hot paths can keep their events in
-production builds the same way :mod:`repro.perf` keeps its timers.
+boolean check, so the instrumented hot paths can keep their events (and
+the spans that time them) in production builds.
 """
 
 from __future__ import annotations

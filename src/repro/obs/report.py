@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.sinks import fold_span, timing_stats
+
 __all__ = ["load_events", "summarize_events", "format_summary", "main"]
 
 
@@ -44,7 +46,8 @@ def summarize_events(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Aggregate a record list into the report's summary structure."""
     by_name: Dict[str, int] = {}
     by_severity: Dict[str, int] = {}
-    spans: Dict[str, Dict[str, float]] = {}
+    timings: Dict[str, Dict[str, float]] = {}
+    span_errors: Dict[str, int] = {}
     provenance = {
         "fixes": 0,
         "degraded": 0,
@@ -60,14 +63,10 @@ def summarize_events(records: List[Dict[str, Any]]) -> Dict[str, Any]:
         by_name[name] = by_name.get(name, 0) + n
         severity = str(r.get("severity", "?"))
         by_severity[severity] = by_severity.get(severity, 0) + 1
-        if name == "span" and "span" in r:
-            agg = spans.setdefault(
-                str(r["span"]), {"count": 0, "total_s": 0.0, "errors": 0}
-            )
-            agg["count"] += 1
-            agg["total_s"] += float(r.get("duration_s", 0.0) or 0.0)
-            if r.get("status") == "error":
-                agg["errors"] += 1
+        if name == "span":
+            span = fold_span(timings, r)
+            if span is not None and r.get("status") == "error":
+                span_errors[span] = span_errors.get(span, 0) + 1
         if name == "fix.provenance":
             provenance["fixes"] += 1
             if r.get("degraded"):
@@ -80,7 +79,8 @@ def summarize_events(records: List[Dict[str, Any]]) -> Dict[str, Any]:
         "n_events": len(records),
         "by_name": by_name,
         "by_severity": by_severity,
-        "spans": spans,
+        "spans": {span: dict(stats, errors=span_errors.get(span, 0))
+                  for span, stats in timing_stats(timings).items()},
         "provenance": provenance,
     }
 
@@ -136,11 +136,10 @@ def format_summary(
                      f"{'mean':>12}{'errors':>8}")
         for name in sorted(spans):
             agg = spans[name]
-            mean = agg["total_s"] / agg["count"] if agg["count"] else 0.0
             lines.append(
-                f"  {name.ljust(name_w)}{int(agg['count']):>8}"
+                f"  {name.ljust(name_w)}{agg['count']:>8}"
                 f"{_fmt_seconds(agg['total_s']):>12}"
-                f"{_fmt_seconds(mean):>12}{int(agg['errors']):>8}"
+                f"{_fmt_seconds(agg['mean_s']):>12}{agg['errors']:>8}"
             )
 
     if tail:

@@ -8,9 +8,12 @@ Three sinks cover the deployment shapes the ROADMAP cares about:
 * :class:`JsonLinesSink` — the durable machine-readable log: one JSON
   object per line, flushed per event so a crash loses at most the record
   being written. This is the format ``python -m repro obs report`` reads.
-* :class:`CountingSink` — n-weighted event volume per name. One is always
-  attached behind :func:`repro.obs.counts`, which makes it the library's
-  counter view: a counter is just the volume of the event of that name.
+* :class:`CountingSink` — n-weighted event volume per name, plus the
+  wall-clock aggregate of every ``span`` event's duration per span name.
+  One is always attached behind :func:`repro.obs.counts` and
+  :func:`repro.obs.timings`, which makes it the library's counter and timer
+  view: a counter is the volume of the event of that name, a timer the sum
+  of the spans of that name.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import os
 import threading
 from collections import deque
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Union
+from typing import Any, Deque, Dict, List, Mapping, Optional, Union
 
 from repro.obs.events import Event
 
-__all__ = ["RingBufferSink", "JsonLinesSink", "CountingSink"]
+__all__ = ["RingBufferSink", "JsonLinesSink", "CountingSink", "fold_span",
+           "timing_stats"]
 
 #: Durability policies for :class:`JsonLinesSink` (mirrors
 #: :class:`repro.gateway.TraceWriter`): ``"flush"`` survives a process
@@ -116,18 +120,59 @@ class JsonLinesSink:
         self.close()
 
 
+def fold_span(timings: Dict[str, Dict[str, float]],
+              record: Mapping[str, Any]) -> Optional[str]:
+    """Fold one span record into ``timings[span]`` (count, total, min, max).
+
+    ``record`` is a ``span`` event's fields or one parsed log line. This is
+    the one rule behind :func:`repro.obs.timings` and the span table of
+    ``python -m repro obs report``. Returns the span name (None if absent).
+    """
+    name = record.get("span")
+    if name is None:
+        return None
+    name = str(name)
+    try:
+        duration = float(record.get("duration_s") or 0.0)
+    except (TypeError, ValueError):
+        duration = 0.0
+    agg = timings.setdefault(name, {"count": 0, "total_s": 0.0,
+                                    "min_s": duration, "max_s": duration})
+    agg["count"] += 1
+    agg["total_s"] += duration
+    agg["min_s"] = min(agg["min_s"], duration)
+    agg["max_s"] = max(agg["max_s"], duration)
+    return name
+
+
+def timing_stats(timings: Dict[str, Dict[str, float]]) -> Dict[str, Dict[str, float]]:
+    """``{count, total_s, mean_s, min_s, max_s}`` per name, sorted by name."""
+    return {
+        name: {
+            "count": agg["count"],
+            "total_s": agg["total_s"],
+            "mean_s": agg["total_s"] / agg["count"],
+            "min_s": agg["min_s"],
+            "max_s": agg["max_s"],
+        }
+        for name, agg in sorted(timings.items())
+    }
+
+
 class CountingSink:
-    """Sums each event's ``n`` field per event name.
+    """Sums each event's ``n`` field per event name, and times spans.
 
     An event without an ``n`` field, or whose ``n`` is not an ``int`` (a
     ``bool`` included), counts as 1 — so an emitter that refuses a batch
     of 40 samples in one event (``n=40``) weighs the same as 40 one-sample
-    events.
+    events. Each ``span`` event's duration is folded into its span name's
+    aggregate (:func:`fold_span`).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.by_name: Dict[str, int] = {}
+        self._timings: Dict[str, Dict[str, float]] = {}
 
     def write(self, event: Event) -> None:
         n = event.fields.get("n", 1)
@@ -135,6 +180,8 @@ class CountingSink:
             n = 1
         with self._lock:
             self.by_name[event.name] = self.by_name.get(event.name, 0) + n
+            if event.name == "span":
+                fold_span(self._timings, event.fields)
 
     def count(self, name: str) -> int:
         with self._lock:
@@ -144,3 +191,8 @@ class CountingSink:
         """A copy of every per-name total."""
         with self._lock:
             return dict(self.by_name)
+
+    def timings(self) -> Dict[str, Dict[str, float]]:
+        """Wall-clock seconds per span name (see :func:`timing_stats`)."""
+        with self._lock:
+            return timing_stats(self._timings)

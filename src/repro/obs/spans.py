@@ -12,9 +12,12 @@ grepped out of a JSON-lines log with a single filter.
 
 On exit each span emits a single ``span`` event (name, duration, depth,
 status — ``error`` plus the exception type if the block raised, which then
-propagates untouched) and records its duration into the process-wide
-:mod:`repro.perf` timer registry under its own name, so span timings land
-next to the ``@perf.profiled`` hot-path timers in ``perf.snapshot()``.
+propagates untouched). That event is the only timing record: the
+always-attached counting sink folds each ``duration_s`` into per-name
+aggregates, read back with :func:`repro.obs.timings`.
+
+A span is also a decorator — ``@obs.span("anf.AdaptiveNoiseFilter.apply")``
+times every call, each one its own span (and, at top level, its own trace).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import time
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional, Tuple
 
-from repro import perf
 from repro.obs.events import EventLog
 
 __all__ = ["SpanHandle", "current_trace_id", "span_context"]
@@ -67,14 +69,13 @@ def span_context(
     name: str,
     *,
     component: str = "repro",
-    perf_registry: Optional[perf.PerfRegistry] = None,
     **fields: Any,
 ) -> Iterator[SpanHandle]:
     """Open a span on ``log``; see the module docstring.
 
     Exposed through :func:`repro.obs.span`, which binds the default log.
-    While the log is disabled the body still runs (and still times into
-    ``perf``) but no event is emitted.
+    While the log is disabled the body still runs but no event is emitted,
+    so nothing is timed either.
     """
     stack = _SPAN_STACK.get()
     trace_id = stack[-1].trace_id if stack else log.next_trace_id()
@@ -91,8 +92,6 @@ def span_context(
     finally:
         _SPAN_STACK.reset(token)
         duration = time.perf_counter() - handle.t0
-        registry = perf_registry if perf_registry is not None else perf.registry
-        registry.record(name, duration)
         closing = dict(handle.fields)
         closing["duration_s"] = duration
         closing["depth"] = handle.depth

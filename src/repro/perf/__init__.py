@@ -1,53 +1,5 @@
-"""Lightweight performance instrumentation for the hot paths.
+"""Rendering of the hot-path benchmark report (``python -m repro.perf.report``).
 
-One process-wide registry of wall-clock timers, designed to stay enabled in
-production: the estimator, ANF, DTW and pipeline entry points are decorated
-with :func:`profiled`, so any long-running deployment can ask
-:func:`snapshot` where its time went without attaching a profiler.
-
-Usage::
-
-    from repro import perf
-
-    with perf.timer("estimator.fit"):
-        estimator.fit(p, q, rss)
-
-    print(perf.snapshot()["timers"]["estimator.fit"]["mean_s"])
-
-Counting is not a ``perf`` job: a counter is the n-weighted volume of an
-:mod:`repro.obs` event (``obs.counts()``), and stream-clock durations ride
-on event fields, so this registry only ever holds wall-clock seconds.
-
-``perf.disable()`` turns the whole subsystem into a no-op (one boolean check
-per call) for overhead-sensitive sweeps; ``perf.reset()`` clears the stats
-between measurement windows.
+In-process timing is :func:`repro.obs.span`; :func:`repro.obs.timings`
+reads the per-name aggregates back.
 """
-
-from __future__ import annotations
-
-from repro.perf.timers import PerfRegistry, TimerStats
-
-__all__ = [
-    "PerfRegistry",
-    "TimerStats",
-    "registry",
-    "timer",
-    "record",
-    "profiled",
-    "snapshot",
-    "reset",
-    "enable",
-    "disable",
-]
-
-#: The process-wide default registry used by the module-level helpers below
-#: and by every ``@profiled`` hot path in the library.
-registry = PerfRegistry()
-
-timer = registry.timer
-record = registry.record
-profiled = registry.profiled
-snapshot = registry.snapshot
-reset = registry.reset
-enable = registry.enable
-disable = registry.disable

@@ -23,7 +23,7 @@ does not latch); time-based decay only ever moves toward ``LOST``. Dwell
 time per state is stream-clock time: it is accumulated locally
 (checkpointable, reported by the soak harness) and carried as the
 ``dwell_s`` field of each ``health.transition`` event — never into the
-wall-clock :mod:`repro.perf` timers.
+wall-clock span timings of :func:`repro.obs.timings`.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional
 
-from repro import obs, perf
+from repro import obs
 from repro.core.estimator import fit_batch
 from repro.errors import ConfigurationError, DataQualityError
 from repro.service.buffers import BoundedBuffer
@@ -159,7 +159,6 @@ class TrackingService:
 
     # -- stepping ------------------------------------------------------------
 
-    @perf.profiled("service.TrackingService.tick_batch")
     def tick_batch(self, t: float) -> Dict[str, SessionSnapshot]:
         """Advance every session to stream time ``t``; per-beacon snapshots.
 

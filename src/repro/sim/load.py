@@ -34,10 +34,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.sim.faults import FaultModel
-from repro.sim.simulator import BeaconSpec, Simulator
-from repro.sim.soak import long_walk
-from repro.types import ImuSample, RssiSample, RssiTrace, Vec2
-from repro.world.scenarios import scenario
+from repro.sim.soak import simulate_world, slice_ticks
+from repro.types import ImuSample, RssiSample, RssiTrace
 
 __all__ = ["ARRIVALS", "LoadConfig", "LoadStream", "generate_load"]
 
@@ -148,21 +146,9 @@ def _simulate_templates(
     config: LoadConfig, rng: np.random.Generator
 ) -> Tuple[List[RssiTrace], List[ImuSample]]:
     """One full-fidelity world: template beacon traces + the observer IMU."""
-    sc = scenario(config.scenario_index)
-    walk = long_walk(
-        sc.observer_start, rng,
-        bounds=(sc.floorplan.width, sc.floorplan.height),
-        duration_s=config.duration_s,
-    )
-    specs = []
-    for k in range(config.template_beacons):
-        offset = (Vec2(0.0, 0.0) if k == 0
-                  else Vec2.from_polar(
-                      0.6 + 0.2 * k,
-                      2.0 * math.pi * k / config.template_beacons))
-        specs.append(BeaconSpec(f"tpl{k}", position=sc.beacon_position + offset))
-    rec = Simulator(sc.floorplan, rng).simulate(walk, specs)
-    templates = [rec.rssi_traces[s.beacon_id] for s in specs]
+    rec, ids = simulate_world(config.scenario_index, config.duration_s,
+                              config.template_beacons, "tpl", rng)
+    templates = [rec.rssi_traces[beacon_id] for beacon_id in ids]
     for k, tpl in enumerate(templates):
         if len(tpl) < 2:
             raise ConfigurationError(
@@ -198,21 +184,13 @@ def generate_load(config: LoadConfig) -> LoadStream:
         scans.extend(trace.samples)
     scans.sort(key=lambda s: (s.timestamp, s.beacon_id))
 
-    ticks = []
-    n_ticks = int(math.ceil(config.duration_s / config.tick_s))
-    si = ii = 0
-    for k in range(1, n_ticks + 1):
-        t = k * config.tick_s
-        sj = si
-        while sj < len(scans) and scans[sj].timestamp < t:
-            sj += 1
-        ij = ii
-        while ij < len(imu) and imu[ij].timestamp < t:
-            ij += 1
-        ticks.append((t, tuple(scans[si:sj]), tuple(imu[ii:ij])))
-        si, ii = sj, ij
+    ticks = tuple(
+        (t, tuple(scan_batch), tuple(imu_batch))
+        for t, scan_batch, imu_batch in slice_ticks(
+            scans, imu, config.duration_s, config.tick_s)
+    )
     return LoadStream(
-        ticks=tuple(ticks),
+        ticks=ticks,
         offered_samples=len(scans),
         offered_per_s=len(scans) / config.duration_s,
         n_beacons=config.n_beacons,

@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Optional, Sequence
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ConfigurationError
 
 __all__ = ["TrialResult", "run_trials", "effective_workers"]
@@ -108,18 +108,15 @@ def run_trials(
         and len(seeds) >= MIN_PARALLEL_TRIALS
     )
     if not use_pool or workers < 1:
-        with perf.timer("parallel.run_trials.serial"):
-            return _run_serial(fn, seeds)
+        return _run_serial(fn, seeds)
 
     try:
-        with perf.timer("parallel.run_trials.pool"):
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_one, fn, seed) for seed in seeds]
-                return [f.result() for f in futures]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_one, fn, seed) for seed in seeds]
+            return [f.result() for f in futures]
     except Exception as exc:  # noqa: BLE001 — pool failure degrades, never crashes
         # Unpicklable fn, fork failure, or a broken pool: the sweep still
         # completes serially with identical (deterministic) results.
         obs.emit("parallel.pool_fallback", severity="warning",
                  component="parallel", error=type(exc).__name__)
-        with perf.timer("parallel.run_trials.serial"):
-            return _run_serial(fn, seeds)
+        return _run_serial(fn, seeds)

@@ -46,7 +46,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.service import ServiceConfig, TrackingService
 from repro.service.session import SessionSnapshot, snapshot_digest
 from repro.sim.faults import FaultModel
-from repro.sim.simulator import BeaconSpec, Simulator
+from repro.sim.simulator import BeaconSpec, MeasurementRecord, Simulator
 from repro.types import ImuSample, RssiSample, Vec2
 from repro.world.scenarios import scenario
 from repro.world.trajectory import DEFAULT_WALK_SPEED, Trajectory
@@ -171,40 +171,52 @@ def long_walk(
     return Trajectory(pts, times)
 
 
-def _build_stream(config: SoakConfig):
-    """Simulate the world once and slice it into per-tick ingest batches."""
-    sc = scenario(config.scenario_index)
-    rng = np.random.default_rng(config.seed)
+def simulate_world(
+    scenario_index: int,
+    duration_s: float,
+    n_beacons: int,
+    prefix: str,
+    rng: np.random.Generator,
+) -> Tuple[MeasurementRecord, List[str]]:
+    """One long walk past beacons ``prefix0..`` ringed round the scenario's.
+
+    The soak and load harnesses share this world. Returns the recording
+    and the beacon ids in order.
+    """
+    sc = scenario(scenario_index)
     walk = long_walk(
         sc.observer_start, rng,
         bounds=(sc.floorplan.width, sc.floorplan.height),
-        duration_s=config.duration_s,
+        duration_s=duration_s,
     )
     beacons = []
-    for k in range(config.n_beacons):
+    for k in range(n_beacons):
         offset = (Vec2(0.0, 0.0) if k == 0
                   else Vec2.from_polar(0.6 + 0.2 * k,
-                                       2.0 * math.pi * k / config.n_beacons))
+                                       2.0 * math.pi * k / n_beacons))
         beacons.append(
-            BeaconSpec(f"b{k}", position=sc.beacon_position + offset)
+            BeaconSpec(f"{prefix}{k}", position=sc.beacon_position + offset)
         )
-    sim = Simulator(sc.floorplan, rng)
-    rec = sim.simulate(walk, beacons)
+    rec = Simulator(sc.floorplan, rng).simulate(walk, beacons)
+    return rec, [spec.beacon_id for spec in beacons]
 
-    fault_rng = np.random.default_rng(config.seed + 977)
-    scans: List[RssiSample] = []
-    for spec in beacons:
-        degraded = config.fault.apply(rec.rssi_traces[spec.beacon_id],
-                                      fault_rng)
-        scans.extend(degraded.samples)
-    scans.sort(key=lambda s: (s.timestamp, s.beacon_id))
-    imu: List[ImuSample] = list(rec.observer_imu.trace.samples)
 
+def slice_ticks(
+    scans: List[RssiSample],
+    imu: List[ImuSample],
+    duration_s: float,
+    tick_s: float,
+) -> List[Tuple[float, List[RssiSample], List[ImuSample]]]:
+    """Cut time-sorted streams into per-tick ingest batches.
+
+    Tick ``k`` (from 1) is stamped ``t = k * tick_s`` and carries every
+    not-yet-delivered sample timestamped before ``t``.
+    """
     ticks: List[Tuple[float, List[RssiSample], List[ImuSample]]] = []
-    n_ticks = int(math.ceil(config.duration_s / config.tick_s))
+    n_ticks = int(math.ceil(duration_s / tick_s))
     si = ii = 0
     for k in range(1, n_ticks + 1):
-        t = k * config.tick_s
+        t = k * tick_s
         sj = si
         while sj < len(scans) and scans[sj].timestamp < t:
             sj += 1
@@ -214,6 +226,21 @@ def _build_stream(config: SoakConfig):
         ticks.append((t, scans[si:sj], imu[ii:ij]))
         si, ii = sj, ij
     return ticks
+
+
+def _build_stream(config: SoakConfig):
+    """Simulate the world once and slice it into per-tick ingest batches."""
+    rec, beacon_ids = simulate_world(
+        config.scenario_index, config.duration_s, config.n_beacons, "b",
+        np.random.default_rng(config.seed))
+    fault_rng = np.random.default_rng(config.seed + 977)
+    scans: List[RssiSample] = []
+    for beacon_id in beacon_ids:
+        degraded = config.fault.apply(rec.rssi_traces[beacon_id], fault_rng)
+        scans.extend(degraded.samples)
+    scans.sort(key=lambda s: (s.timestamp, s.beacon_id))
+    imu: List[ImuSample] = list(rec.observer_imu.trace.samples)
+    return slice_ticks(scans, imu, config.duration_s, config.tick_s)
 
 
 def _drive(

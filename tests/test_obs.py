@@ -28,7 +28,6 @@ from repro.obs.report import (
     summarize_events,
 )
 from repro.obs.spans import span_context
-from repro.perf import PerfRegistry
 
 
 @pytest.fixture(autouse=True)
@@ -188,12 +187,43 @@ class TestSpans:
         assert inner_ev.fields["depth"] == 1
         assert outer_ev.fields["depth"] == 0
 
-    def test_duration_recorded_into_perf_registry(self):
-        registry = PerfRegistry()
-        log = EventLog()
-        with span_context(log, "timed.op", perf_registry=registry):
+    def test_duration_recorded_into_timings(self):
+        with obs.span("timed.op"):
             pass
-        assert registry.snapshot()["timers"]["timed.op"]["count"] == 1
+        closing = obs.tail()[-1]
+        stats = obs.timings()["timed.op"]
+        assert stats["count"] == 1
+        assert stats["total_s"] == closing.fields["duration_s"]
+
+    def test_timings_match_report_aggregation(self, tmp_path):
+        """The in-process view and ``obs report`` share one aggregation."""
+        path = tmp_path / "ev.jsonl"
+        sink = obs.add_sink(JsonLinesSink(path))
+        for _ in range(3):
+            with obs.span("a"):
+                with obs.span("b"):
+                    pass
+        with pytest.raises(KeyError):
+            with obs.span("a"):
+                raise KeyError("x")
+        sink.close()
+        records, _ = load_events(path)
+        reported = summarize_events(records)["spans"]
+        timings = obs.timings()
+        assert set(reported) == set(timings) == {"a", "b"}
+        for name, stats in timings.items():
+            assert {k: reported[name][k] for k in stats} == pytest.approx(stats)
+        assert reported["a"]["errors"] == 1 and reported["b"]["errors"] == 0
+
+    def test_span_decorator_mints_fresh_trace_per_call(self):
+        @obs.span("leaf.op")
+        def op():
+            return obs.current_trace_id()
+
+        first, second = op(), op()
+        assert first is not None and first != second
+        with obs.span("outer") as sp:
+            assert op() == sp.trace_id
 
     def test_annotate_lands_on_closing_event(self):
         with obs.span("solve") as sp:
@@ -241,8 +271,7 @@ class TestReport:
         log = EventLog()
         with JsonLinesSink(path) as sink:
             log.add_sink(sink)
-            with span_context(log, "session.solve",
-                             perf_registry=PerfRegistry()):
+            with span_context(log, "session.solve"):
                 log.emit("fix.provenance", component="service",
                          confidence=0.9, cov_fallback=True, env_restarts=1,
                          degraded=False)
@@ -321,6 +350,47 @@ class TestSoakEventCrossCheck:
         for r in prov:
             assert r["beacon_id"] == "b0"
             assert "cov_fallback" in r and "confidence" in r
+
+
+class _SpanCollector:
+    """Keeps every ``span`` event it is handed (the ring may evict)."""
+
+    def __init__(self):
+        self.spans = []
+
+    def write(self, event):
+        if event.name == "span":
+            self.spans.append(event)
+
+
+def test_every_solve_gets_its_own_trace_id():
+    """No enclosing span may fold two solves into one correlation id."""
+    from repro.core.pipeline import LocBLE
+    from repro.sim.faults import FaultModel
+    from repro.sim.simulator import BeaconSpec, Simulator
+    from repro.sim.soak import SoakConfig, run_soak
+    from repro.world.scenarios import scenario
+    from repro.world.trajectory import l_shape
+
+    collector = obs.add_sink(_SpanCollector())
+    result = run_soak(SoakConfig(
+        duration_s=30.0, seed=7, n_beacons=2, checkpoint_t=15.0,
+        fault=FaultModel(loss_rate=0.1)))
+    assert result.untyped_errors == 0 and result.checkpoint_equal
+    sc = scenario(1)
+    for seed in range(3):
+        sim = Simulator(sc.floorplan, np.random.default_rng(seed))
+        walk = l_shape(sc.observer_start, sc.observer_heading_rad,
+                       leg1=2.8, leg2=2.2)
+        rec = sim.simulate(walk, [BeaconSpec("b", position=sc.beacon_position)])
+        LocBLE().estimate(rec.rssi_traces["b"], rec.observer_imu.trace)
+    obs.remove_sink(collector)
+
+    for name, at_least in (("session.solve", 10), ("estimator.solve", 3)):
+        traces = [e.trace for e in collector.spans
+                  if e.fields["span"] == name]
+        assert len(traces) >= at_least, name
+        assert len(set(traces)) == len(traces), name
 
 
 def _sim_soak(monkeypatch):

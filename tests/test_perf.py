@@ -1,94 +1,126 @@
-"""Tests for the perf instrumentation registry and report rendering."""
+"""Tests for span timings (:func:`repro.obs.timings`) and report rendering."""
 
 import json
 import time
 
+import numpy as np
 import pytest
 
-from repro import perf
+from repro import obs
 from repro.perf.report import REPORT_FILENAME, find_report, format_report, main
-from repro.perf.timers import PerfRegistry
 
 
-@pytest.fixture()
-def registry():
-    return PerfRegistry()
+@pytest.fixture(autouse=True)
+def clean_obs():
+    """Isolate every test from the process-global log and its timings."""
+    obs.reset()
+    yield
+    obs.reset()
 
 
 class TestRegistry:
-    def test_timer_records_calls(self, registry):
-        with registry.timer("stage"):
-            pass
-        with registry.timer("stage"):
-            pass
-        snap = registry.snapshot()
-        assert snap["timers"]["stage"]["count"] == 2
-        assert snap["timers"]["stage"]["total_s"] >= 0.0
+    """``obs.timings()``: the per-name view over ``span`` events."""
 
-    def test_profiled_decorator_times_and_names(self, registry):
-        @registry.profiled("my.label")
+    def test_timer_records_calls(self):
+        with obs.span("stage"):
+            pass
+        with obs.span("stage"):
+            pass
+        stats = obs.timings()["stage"]
+        assert stats["count"] == 2
+        assert stats["total_s"] >= 0.0
+
+    def test_profiled_decorator_times_and_names(self):
+        @obs.span("my.label")
         def work(x):
             return x * 2
 
         assert work(21) == 42
-        assert work.__perf_name__ == "my.label"
-        assert registry.snapshot()["timers"]["my.label"]["count"] == 1
+        assert work(1) == 2
+        assert work.__name__ == "work"
+        assert obs.timings()["my.label"]["count"] == 2
 
-    def test_profiled_default_label(self, registry):
-        @registry.profiled()
-        def helper():
-            return 1
+    def test_disabled_registry_is_passthrough(self):
+        obs.disable()
 
-        helper()
-        (label,) = registry.snapshot()["timers"]
-        assert label.endswith(".helper")
-
-    def test_disabled_registry_is_passthrough(self, registry):
-        registry.disable()
-
-        @registry.profiled("quiet")
+        @obs.span("quiet")
         def work():
             return "ok"
 
         assert work() == "ok"
-        with registry.timer("quiet2"):
+        with obs.span("quiet2"):
             pass
-        assert registry.snapshot() == {"timers": {}}
-        registry.enable()
+        assert obs.timings() == {}
 
-    def test_reset_clears(self, registry):
-        with registry.timer("t"):
+    def test_reset_clears(self):
+        with obs.span("t"):
             pass
-        registry.reset()
-        assert registry.snapshot() == {"timers": {}}
+        assert "t" in obs.timings()
+        obs.reset()
+        assert obs.timings() == {}
 
-    def test_timer_stats_track_min_max_mean(self, registry):
+    def test_timer_stats_track_min_max_mean(self):
         for delay in (0.0, 0.001):
-            with registry.timer("t"):
+            with obs.span("t"):
                 time.sleep(delay)
-        stats = registry.snapshot()["timers"]["t"]
+        stats = obs.timings()["t"]
+        assert set(stats) == {"count", "total_s", "mean_s", "min_s", "max_s"}
         assert stats["min_s"] <= stats["mean_s"] <= stats["max_s"]
+        assert stats["max_s"] >= 0.001
+        assert stats["total_s"] == pytest.approx(stats["mean_s"] * 2)
 
-    def test_exception_still_recorded(self, registry):
-        @registry.profiled("boom")
+    def test_exception_still_recorded(self):
+        @obs.span("boom")
         def explode():
             raise RuntimeError("x")
 
         with pytest.raises(RuntimeError):
             explode()
-        assert registry.snapshot()["timers"]["boom"]["count"] == 1
+        assert obs.timings()["boom"]["count"] == 1
 
 
 class TestModuleLevelRegistry:
     def test_hot_paths_are_profiled(self):
-        """The paper's hot paths must show up in the process registry."""
-        import numpy as np
+        """One LocBLE estimate times its own span, the ANF and the fit."""
+        from repro.core.pipeline import LocBLE
+        from repro.sim.simulator import BeaconSpec, Simulator
+        from repro.world.scenarios import scenario
+        from repro.world.trajectory import l_shape
 
-        from repro.dtw.dtw import dtw_distance
+        sc = scenario(1)
+        sim = Simulator(sc.floorplan, np.random.default_rng(0))
+        walk = l_shape(sc.observer_start, sc.observer_heading_rad,
+                       leg1=2.8, leg2=2.2)
+        rec = sim.simulate(walk, [BeaconSpec("b", position=sc.beacon_position)])
+        obs.reset()
+        LocBLE().estimate(rec.rssi_traces["b"], rec.observer_imu.trace)
+        timings = obs.timings()
+        for name in ("pipeline.LocBLE.estimate",
+                     "anf.AdaptiveNoiseFilter.apply",
+                     "estimator.EllipticalEstimator.fit"):
+            assert timings[name]["count"] >= 1, name
+        assert timings["pipeline.LocBLE.estimate"]["count"] == 1
 
-        perf.reset()
-        dtw_distance(np.zeros(8), np.ones(8), window=2)
-        assert "dtw.dtw_distance" in perf.snapshot()["timers"]
+    def test_batched_fit_and_segment_matching_are_timed(self):
+        from repro.core.estimator import FitRequest, fit_batch
+        from repro.dtw.segmatch import SegmentMatcher
+        from repro.types import RssiTrace
+
+        rng = np.random.default_rng(0)
+        t = np.linspace(0.0, 5.0, 60)
+        p, q = np.minimum(t, 2.8), np.maximum(t - 2.8, 0.0)
+        rss = (-59.0 - 20.0 * np.log10(np.hypot(3.0 - p, 2.0 - q))
+               + rng.normal(0.0, 1.0, t.size))
+        fit_batch([FitRequest(p=p, q=q, rss=rss)])
+        ts = np.arange(90) / 9.0
+        trace = RssiTrace.from_arrays(
+            ts, -60 - 18 * np.log10(1 + ts) + rng.normal(0, 1, 90), "t")
+        SegmentMatcher().match(trace, trace)
+        SegmentMatcher().match_many(trace, [trace, trace])
+        timings = obs.timings()
+        assert timings["estimator.fit_batch"]["count"] == 1
+        assert timings["segmatch.SegmentMatcher.match"]["count"] == 1
+        assert timings["segmatch.SegmentMatcher.match_many"]["count"] == 1
 
 
 class TestReport:

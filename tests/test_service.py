@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from repro import obs, perf
+from repro import obs
 from repro.core.tracking import BeaconTracker
 from repro.errors import (
     ConfigurationError,
@@ -215,11 +215,11 @@ class TestHealthMachine:
         assert d[SessionState.HEALTHY] == pytest.approx(8.0)
         assert d[SessionState.STALE] == pytest.approx(2.0)
         # Stream-clock dwell rides on the transition events, never in the
-        # wall-clock timer registry.
+        # wall-clock span timings.
         assert [e.fields["dwell_s"] for e in obs.tail()
                 if e.name == "health.transition"] == [2.0, 8.0]
         assert not any(name.startswith("service.dwell.")
-                       for name in perf.snapshot()["timers"])
+                       for name in obs.timings())
 
     def test_checkpoint_roundtrip(self):
         hm = HealthMachine(HealthConfig(stale_after_s=3.0))
