@@ -35,6 +35,17 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
+def _stream_args(p, duration: float, beacons: int) -> None:
+    """The seeded-stream flags of the soak, fleet and gateway harnesses."""
+    p.add_argument("--scenario", type=int, default=6, choices=range(1, 10))
+    p.add_argument("--duration", type=float, default=duration,
+                   help="stream length (seconds)")
+    p.add_argument("--tick", type=float, default=1.0,
+                   help="tick period (seconds)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--beacons", type=int, default=beacons)
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.core.solvers import SOLVERS
 
@@ -108,13 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         "soak",
         help="long-horizon streaming soak of the tracking service",
     )
-    p.add_argument("--scenario", type=int, default=6, choices=range(1, 10))
-    p.add_argument("--duration", type=float, default=300.0,
-                   help="stream length (seconds)")
-    p.add_argument("--tick", type=float, default=1.0,
-                   help="ingest/step period (seconds)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--beacons", type=int, default=1)
+    _stream_args(p, duration=300.0, beacons=1)
     p.add_argument("--loss", type=float, default=0.3,
                    help="bursty scan loss rate")
     p.add_argument("--burst", type=float, default=3.0,
@@ -133,18 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="load-test the sharded tracking fleet with generated load",
     )
+    _stream_args(p, duration=60.0, beacons=100)
     p.add_argument("--shards", type=int, default=4)
-    p.add_argument("--beacons", type=int, default=100)
-    p.add_argument("--duration", type=float, default=60.0,
-                   help="stream length (seconds)")
-    p.add_argument("--tick", type=float, default=1.0,
-                   help="ingest/tick period (seconds)")
     p.add_argument("--rate", type=float, default=5.0,
                    help="per-beacon advertising rate (Hz)")
     p.add_argument("--arrival", choices=["poisson", "periodic", "bursty"],
                    default="poisson")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenario", type=int, default=6, choices=range(1, 10))
     p.add_argument("--max-sessions", type=int, default=256,
                    help="per-shard session cap")
     p.add_argument("--max-total", type=int, default=None,
@@ -164,17 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="soak the async ingestion gateway under transport faults, "
              "or replay a recorded trace",
     )
-    p.add_argument("--duration", type=float, default=30.0,
-                   help="stream length (seconds)")
-    p.add_argument("--tick", type=float, default=1.0,
-                   help="gateway tick period (seconds)")
-    p.add_argument("--beacons", type=int, default=8)
+    _stream_args(p, duration=30.0, beacons=8)
     p.add_argument("--clients", type=int, default=4)
     p.add_argument("--shards", type=int, default=2)
     p.add_argument("--rate", type=float, default=4.0,
                    help="per-beacon advertising rate (Hz)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenario", type=int, default=6, choices=range(1, 10))
     p.add_argument("--drop", type=float, default=0.0,
                    help="frame loss rate")
     p.add_argument("--dup", type=float, default=0.0,
@@ -454,6 +447,14 @@ def _cmd_degrade(args) -> int:
     return 0
 
 
+def _print_errors(result) -> None:
+    """The shared errors block of the soak, fleet and gateway reports."""
+    print(f"errors    : {len(result.errors)} "
+          f"({result.untyped_errors} untyped)")
+    for line in result.errors[:5]:
+        print(f"  ! {line}")
+
+
 def _cmd_soak(args) -> int:
     from repro.sim.faults import FaultModel
     from repro.sim.soak import SoakConfig, run_soak
@@ -493,10 +494,7 @@ def _cmd_soak(args) -> int:
                    if result.checkpoint_equal
                    else f"DIVERGED at t={result.divergence_t}")
         print(f"checkpoint: t={args.checkpoint_t:.0f}s -> {verdict}")
-    print(f"errors    : {len(result.errors)} "
-          f"({result.untyped_errors} untyped)")
-    for line in result.errors[:5]:
-        print(f"  ! {line}")
+    _print_errors(result)
     if result.events:
         total = sum(result.events.values())
         top = sorted(result.events.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -505,8 +503,7 @@ def _cmd_soak(args) -> int:
     if result.events_jsonl:
         print(f"event log : {result.events_jsonl} "
               f"(inspect with 'repro obs report')")
-    ok = result.untyped_errors == 0 and result.checkpoint_equal is not False
-    return 0 if ok else 1
+    return 0 if result.passed else 1
 
 
 def _cmd_fleet(args) -> int:
@@ -559,11 +556,8 @@ def _cmd_fleet(args) -> int:
                  else f", +{len(result.migrations) - 6} more")
         print(f"migrated  : {len(result.migrations)} session(s) before tick "
               f"{args.migrate_at} ({moves}{extra})")
-    print(f"errors    : {len(result.errors)} "
-          f"({result.untyped_errors} untyped)")
-    for line in result.errors[:5]:
-        print(f"  ! {line}")
-    return 0 if result.untyped_errors == 0 else 1
+    _print_errors(result)
+    return 0 if result.passed else 1
 
 
 def _cmd_gateway(args) -> int:
@@ -631,19 +625,17 @@ def _cmd_gateway(args) -> int:
             recovery[key] += stats[key]
     print(f"clients   : " + ", ".join(f"{k}={v}"
                                       for k, v in recovery.items()))
-    print(f"errors    : {len(result.errors)} "
-          f"({result.untyped_errors} untyped)")
-    for line in result.errors[:5]:
-        print(f"  ! {line}")
+    _print_errors(result)
     if result.parity_failures:
         print(f"parity    : FAILED for {result.parity_failures}")
     if result.trace_path:
         print(f"trace     : {result.trace_path}")
     if result.replay_result is not None:
         verdict = ("bit-identical snapshot stream"
-                   if result.replay_result.identical
+                   if result.replay_identical
                    else f"DIVERGED "
-                        f"({len(result.replay_result.mismatches)} ticks)")
+                        f"({len(result.replay_result.mismatches)} ticks, "
+                        f"live from t={result.divergence_t})")
         print(f"replay    : {verdict}")
     print(f"verdict   : {'PASS' if result.passed else 'FAIL'}")
     return 0 if result.passed else 1

@@ -1,34 +1,24 @@
 """Seeded crash chaos: kill the process, corrupt the disk, prove recovery.
 
 ``python -m repro chaos`` runs the acceptance experiment for the whole
-durability layer. One seeded workload is driven twice:
+durability layer. One seeded workload is driven twice on the
+:mod:`repro.sim.harness` skeleton: an uninterrupted **baseline**
+gateway→supervisor→fleet run, the ground truth, and a **chaos** run with
+scripted disasters: in-process shard-worker crashes (contained and
+restarted by the :class:`~repro.durability.supervisor.FleetSupervisor`),
+SIGKILL-style process deaths (gateway, supervisor and trace writer are
+abandoned: no ``close()``, no seal), torn final trace writes and snapshot
+bit-flips in the :class:`~repro.durability.store.CheckpointStore`. After
+each kill the run comes back through
+:func:`~repro.durability.supervisor.recover` and the lost tail is re-driven
+from the workload (at-least-once client retransmission).
 
-* **Baseline** — an uninterrupted gateway→supervisor→fleet run recording
-  a sealed trace and the per-tick snapshot digests. This is the ground
-  truth a crashed-and-recovered run must be bit-identical to.
-* **Chaos** — the same workload with scripted disasters: in-process
-  shard-worker crashes (contained and restarted by the
-  :class:`~repro.durability.supervisor.FleetSupervisor`), SIGKILL-style
-  process deaths at seeded ticks (the gateway, supervisor and trace
-  writer are abandoned mid-run — no ``close()``, no seal), torn final
-  trace writes (the file is truncated mid-line or left with a partial
-  appended record), and bit-flips injected into snapshot files in the
-  :class:`~repro.durability.store.CheckpointStore`. After each kill the
-  run comes back through :func:`~repro.durability.supervisor.recover`
-  (snapshot + verified trace suffix) and the lost tail — at most the one
-  torn record per kill — is re-driven from the workload, modelling
-  at-least-once client retransmission.
-
-The gates, each of which fails the run:
-
-1. **Zero untyped errors** — every exception that reaches the harness
-   must be a :class:`~repro.errors.ReproError`; anything else is a bug.
-2. **Digest-identical recovery** — every re-driven tick inside
-   :func:`recover` must reproduce the digest the dying process recorded,
-   and the chaos run's final-tick snapshot digest must equal the
-   baseline's.
-3. **Bounded loss** — across the whole run, at most one trace record
-   (the torn line) may be lost per kill, and each is re-driven anyway.
+The run fails on any error, typed or not (the schedule is built so that
+recovery always succeeds); on a recovery that does not reproduce its
+recorded digests or a final digest that differs from the baseline's; and
+on losing more than the one torn trace record per kill. Shard restarts are
+summed over every supervisor the run built, the killed ones included.
+``docs/durability.md`` has the details.
 """
 
 from __future__ import annotations
@@ -39,14 +29,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, DataQualityError
 from repro.fleet import FleetConfig, TrackingFleet
 from repro.gateway.gateway import GatewayConfig, IngestionGateway
 from repro.gateway.trace import (
     TraceWriter,
     recover_trace,
     replay,
-    snapshot_digest,
     trace_meta,
 )
 from repro.durability.store import CheckpointStore
@@ -55,6 +44,7 @@ from repro.durability.supervisor import (
     RecoveryReport,
     recover,
 )
+from repro.sim.harness import Run, observed
 from repro.sim.load import LoadConfig, generate_load
 
 __all__ = ["ChaosConfig", "ChaosResult", "run_chaos"]
@@ -117,12 +107,16 @@ class ChaosResult:
     baseline_final_digest: str = ""
     chaos_final_digest: str = ""
     lost_ticks: int = 0
-    untyped_errors: List[str] = field(default_factory=list)
+    #: Every error the run recorded; any one of them fails the run.
+    errors: List[str] = field(default_factory=list)
+    untyped_errors: int = 0
     recoveries: List[RecoveryReport] = field(default_factory=list)
     quarantined_files: int = 0
     shard_restarts: int = 0
     replay_identical: Optional[bool] = None
     segment_traces_readable: Optional[bool] = None
+    #: n-weighted event volume per event name over the whole run.
+    events: Dict[str, int] = field(default_factory=dict)
 
     @property
     def digests_identical(self) -> bool:
@@ -136,13 +130,9 @@ class ChaosResult:
 
     @property
     def passed(self) -> bool:
-        gates = (not self.untyped_errors and self.digests_identical
-                 and self.loss_bounded)
-        if self.replay_identical is not None:
-            gates = gates and self.replay_identical
-        if self.segment_traces_readable is not None:
-            gates = gates and self.segment_traces_readable
-        return bool(gates)
+        return (not self.errors and self.digests_identical
+                and self.loss_bounded and self.replay_identical is not False
+                and self.segment_traces_readable is not False)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -156,7 +146,8 @@ class ChaosResult:
             "digests_identical": self.digests_identical,
             "lost_ticks": self.lost_ticks,
             "loss_bounded": self.loss_bounded,
-            "untyped_errors": list(self.untyped_errors),
+            "errors": list(self.errors),
+            "untyped_errors": self.untyped_errors,
             "recoveries": [
                 {
                     "checkpoint_seq": r.checkpoint_seq,
@@ -268,17 +259,6 @@ def _bitflip_snapshot(root: str, rng: np.random.Generator) -> bool:
     return True
 
 
-def _build_stack(
-    config: ChaosConfig,
-    store: Optional[CheckpointStore],
-) -> Tuple[IngestionGateway, FleetSupervisor]:
-    fleet = TrackingFleet(FleetConfig(n_shards=config.n_shards))
-    supervisor = FleetSupervisor(
-        fleet, store=store, checkpoint_every=config.checkpoint_every)
-    gateway = IngestionGateway(GatewayConfig(), supervisor)
-    return gateway, supervisor
-
-
 def run_chaos(config: Optional[ChaosConfig] = None,
               workdir: Optional[str] = None) -> ChaosResult:
     """Run the full chaos experiment; see the module docstring for gates.
@@ -297,122 +277,110 @@ def run_chaos(config: Optional[ChaosConfig] = None,
     kill_ticks, crash_ticks = _schedule(config, rng)
     result.kill_ticks = tuple(kill_ticks)
     result.shard_crash_ticks = tuple(crash_ticks)
-    crash_by_tick = {t: shard for t, shard in crash_ticks}
-
-    stream = generate_load(LoadConfig(
-        duration_s=config.ticks * config.tick_s,
-        tick_s=config.tick_s,
-        seed=config.seed,
-        n_beacons=config.n_beacons,
-        template_beacons=min(2, config.n_beacons),
-        rate_hz=3.0,
-    ))
-    ticks = list(stream.ticks)[:config.ticks]
 
     baseline_path = os.path.join(workdir, "baseline.trace")
     store_root = os.path.join(workdir, "store")
     segment_path = (lambda i: os.path.join(workdir, f"chaos-{i}.trace"))
 
-    def drive_one(gateway: IngestionGateway, k: int):
-        t, scans, imu = ticks[k]
-        gateway.enqueue_scans(list(scans))
-        gateway.enqueue_imu(list(imu))
-        return gateway.tick(float(t))
-
-    try:
-        # ---- baseline: the uninterrupted ground truth --------------------
-        gateway, _ = _build_stack(config, store=None)
-        with TraceWriter(baseline_path, meta=trace_meta(gateway),
-                         durability=config.durability) as writer:
+    def drive(run: Run, trace_path, store_root=None, kills=(),
+              crashes=()) -> int:
+        """Drive the workload once through a fresh stack; each kill
+        abandons the process and recovers it. Returns the shard restarts
+        of every supervisor the run built, the killed ones included."""
+        crash_by_tick = dict(crashes)
+        kills = list(kills)
+        store = (None if store_root is None else
+                 CheckpointStore(store_root, durability=config.durability))
+        gateway = IngestionGateway(GatewayConfig(), FleetSupervisor(
+            TrackingFleet(FleetConfig(n_shards=config.n_shards)),
+            store=store, checkpoint_every=config.checkpoint_every))
+        segment = driven = restarts = 0
+        while True:
+            supervisor = gateway.fleet
+            writer = TraceWriter(trace_path(segment),
+                                 meta=trace_meta(gateway),
+                                 durability=config.durability)
             gateway.tap = writer
-            snaps: Dict[str, Any] = {}
-            for k in range(len(ticks)):
-                snaps = drive_one(gateway, k)
-        result.baseline_final_digest = snapshot_digest(snaps)
-
-        # ---- chaos: same workload, scripted disasters --------------------
-        store = CheckpointStore(store_root, durability=config.durability)
-        gateway, supervisor = _build_stack(config, store)
-        segment = 0
-        writer = TraceWriter(segment_path(segment),
-                             meta=trace_meta(gateway),
-                             durability=config.durability)
-        gateway.tap = writer
-        trace_offset = 0
-        supervisor.checkpoint_now()  # tick-0 snapshot: always restorable
-        driven = 0
-        snaps = {}
-        kills_pending = list(kill_ticks)
-        while driven < len(ticks):
-            if kills_pending and driven == kills_pending[0]:
-                kills_pending.pop(0)
-                # SIGKILL: abandon everything mid-run. No close(), no
-                # seal — exactly the artifacts a dead process leaves.
-                del gateway, supervisor, writer
-                if rng.random() < config.torn_write_prob:
-                    if _tear_trace(segment_path(segment), rng):
-                        result.torn_injected += 1
-                if rng.random() < config.bitflip_prob:
-                    if _bitflip_snapshot(store_root, rng):
-                        result.bitflips_injected += 1
-                gateway, report = recover(
-                    store_root, segment_path(segment),
-                    store=CheckpointStore(store_root,
-                                          durability=config.durability),
-                    checkpoint_every=config.checkpoint_every,
-                    trace_start_tick=trace_offset,
-                )
-                result.recoveries.append(report)
-                result.quarantined_files += len(report.quarantined)
-                covered = report.checkpoint_tick + report.redriven_ticks
-                result.lost_ticks += max(driven - covered, 0)
-                supervisor = gateway.fleet
-                segment += 1
-                writer = TraceWriter(segment_path(segment),
-                                     meta=trace_meta(gateway),
-                                     durability=config.durability)
-                gateway.tap = writer
-                trace_offset = covered
-                supervisor.checkpoint_now()
-                # At-least-once retransmission: the torn tick (if any)
-                # is re-driven from the workload.
-                driven = covered
-                continue
-            shard = crash_by_tick.get(driven)
-            if shard is not None:
-                supervisor.inject_crash(shard)
-            snaps = drive_one(gateway, driven)
-            driven += 1
+            supervisor.checkpoint_now()  # a snapshot is always restorable
+            trace_offset = driven
+            end = kills.pop(0) if kills else len(ticks)
+            for k in range(driven, end):
+                if k in crash_by_tick:
+                    supervisor.inject_crash(crash_by_tick[k])
+                t, scans, imu = ticks[k]
+                gateway.enqueue_scans(list(scans))
+                gateway.enqueue_imu(list(imu))
+                run.tick(float(t), gateway.tick)
+            restarts += supervisor.restarts
+            if end == len(ticks):
+                break
+            # SIGKILL: abandon everything mid-run. No close(), no seal —
+            # exactly the artifacts a dead process leaves.
+            del gateway, supervisor, writer
+            if rng.random() < config.torn_write_prob:
+                if _tear_trace(trace_path(segment), rng):
+                    result.torn_injected += 1
+            if rng.random() < config.bitflip_prob:
+                if _bitflip_snapshot(store_root, rng):
+                    result.bitflips_injected += 1
+            gateway, report = recover(
+                store_root, trace_path(segment),
+                store=CheckpointStore(store_root,
+                                      durability=config.durability),
+                checkpoint_every=config.checkpoint_every,
+                trace_start_tick=trace_offset,
+            )
+            result.recoveries.append(report)
+            result.quarantined_files += len(report.quarantined)
+            # At-least-once retransmission: the torn tick (if any) is
+            # re-driven from the workload.
+            driven = report.checkpoint_tick + report.redriven_ticks
+            result.lost_ticks += max(end - driven, 0)
+            segment += 1
         writer.close()  # the run finally completed: seal the last segment
-        result.chaos_final_digest = snapshot_digest(snaps)
-        result.shard_restarts = supervisor.restarts
         if supervisor.failed:
-            result.untyped_errors.append(
-                f"shards still failed at end of run: "
-                f"{sorted(supervisor.failed)}")
-    except ReproError as exc:
-        # Typed errors are refusals with provenance, but the chaos
-        # schedule is built so recovery always succeeds — reaching here
-        # still fails the run, just in the typed bucket.
-        result.untyped_errors.append(
-            f"typed-but-fatal: {type(exc).__name__}: {exc}")
-    except Exception as exc:  # noqa: BLE001 — the gate this harness exists for
-        result.untyped_errors.append(f"{type(exc).__name__}: {exc}")
+            run.fail(f"shards still failed at end of run: "
+                     f"{sorted(supervisor.failed)}")
+        return restarts
 
-    # ---- optional replay check over the recorded artifacts ---------------
-    if config.replay_check and not result.untyped_errors:
-        replayed = replay(baseline_path)
-        result.replay_identical = replayed.identical
-        readable = True
-        for i in range(len(result.recoveries) + 1):
-            path = segment_path(i)
-            if not os.path.exists(path):
-                continue
-            try:
-                recover_trace(path)
-            except ReproError:
-                readable = False
-        result.segment_traces_readable = readable
+    # Any error, typed or not, fails the run: the schedule is built so
+    # that recovery always succeeds.
+    run = Run("chaos")
+    with observed() as sink:
+        try:
+            stream = generate_load(LoadConfig(
+                duration_s=config.ticks * config.tick_s,
+                tick_s=config.tick_s,
+                seed=config.seed,
+                n_beacons=config.n_beacons,
+                template_beacons=min(2, config.n_beacons),
+                rate_hz=3.0,
+            ))
+            ticks = list(stream.ticks)[:config.ticks]
+            # The uninterrupted ground truth, then the same workload with
+            # scripted disasters.
+            baseline = run.fork()
+            drive(baseline, lambda i: baseline_path)
+            result.baseline_final_digest = baseline.digests[-1][1] or ""
+            result.shard_restarts = drive(run, segment_path, store_root,
+                                          kill_ticks, crash_ticks)
+            result.chaos_final_digest = run.digests[-1][1] or ""
+            if config.replay_check and not run.caught:
+                # The sealed baseline replays identically; every crashed
+                # segment trace is still readable.
+                result.replay_identical = replay(baseline_path).identical
+                result.segment_traces_readable = True
+                for i in range(len(result.recoveries) + 1):
+                    if os.path.exists(segment_path(i)):
+                        try:
+                            recover_trace(segment_path(i))
+                        except DataQualityError:
+                            result.segment_traces_readable = False
+        except Exception as exc:  # noqa: BLE001 — recorded, never raised
+            run.catch(exc)
+    result.errors = list(run.errors)
+    result.untyped_errors = run.untyped_errors
+    result.events = dict(sorted(sink.counts().items()))
     return result
 
 
@@ -432,9 +400,9 @@ def format_report(result: ChaosResult) -> str:
         f"  digests identical: {result.digests_identical} "
         f"(baseline {result.baseline_final_digest[:12]}…, "
         f"chaos {result.chaos_final_digest[:12]}…)",
-        f"  untyped errors: {len(result.untyped_errors)}",
+        f"  untyped errors: {result.untyped_errors}",
     ]
-    for err in result.untyped_errors:
+    for err in result.errors:
         lines.append(f"    ! {err}")
     if result.replay_identical is not None:
         lines.append(f"  baseline replay identical: "

@@ -1,40 +1,33 @@
 """Drive a tracking fleet with a generated load and measure what it serves.
 
-This is the fleet's equivalent of :mod:`repro.sim.soak`: replay a
-:class:`~repro.sim.load.LoadStream` tick by tick into a
-:class:`~repro.fleet.TrackingFleet`, catching every exception (the fleet
-inherits the service's never-raise-on-data contract) and measuring the
-three numbers the ROADMAP's scale story is judged on:
+The fleet's equivalent of :mod:`repro.sim.soak`: a
+:class:`~repro.sim.load.LoadStream` is replayed tick by tick into a
+:class:`~repro.fleet.TrackingFleet` on the :mod:`repro.sim.harness`
+skeleton (the fleet inherits the service's never-raise-on-data contract),
+measuring fixes/sec, fix latency (every fix accepted in a tick experienced
+that tick's processing time, so percentiles are over the fix-weighted tick
+durations) and the shed rate over every admission layer.
 
-* **fixes/sec** — accepted fixes per wall-clock second of processing;
-* **fix latency** — per-fix processing latency: every fix accepted in a
-  tick experienced that tick's wall-clock processing time, so the p50/p99
-  are taken over the fix-weighted tick durations;
-* **shed rate** — the fraction of offered samples refused or evicted by
-  any admission layer (fleet admission, per-shard session caps, RSS-ring
-  capacity pressure).
-
-A load test can also exercise **live migration mid-stream**: with
-``migrate_at_tick`` set, a deterministic slice of the live sessions moves
-to other shards between two ticks. Because migration rides the
-bit-identical checkpoint wire format, the resulting snapshot stream must
-equal an unmigrated run's — ``snapshot_key`` defines that equality, and
-the scale benchmark asserts it at load.
+With ``migrate_at_tick`` set, a deterministic slice of the live sessions
+moves to other shards between two ticks. Migration rides the bit-identical
+checkpoint wire format, so the snapshot stream must equal an unmigrated
+run's: ``snapshot_key`` defines that equality, and the scale benchmark
+asserts it at load.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
 from repro.fleet.fleet import FleetConfig, TrackingFleet
 from repro.service.session import SessionSnapshot, snapshot_key
+from repro.sim.harness import Run, observed
 from repro.sim.load import LoadConfig, LoadStream, generate_load
 
 __all__ = [
@@ -94,6 +87,10 @@ class LoadTestResult:
     #: Final :meth:`TrackingFleet.stats`.
     stats: Dict[str, object]
 
+    @property
+    def passed(self) -> bool:
+        return self.untyped_errors == 0
+
 
 def _migration_wave(
     fleet: TrackingFleet, stride: int
@@ -129,58 +126,36 @@ def run_load_test(
     if stream is None:
         stream = generate_load(config.load)
     fleet = TrackingFleet(config.fleet)
-    obs.emit(
-        "fleet.loadtest_started",
-        severity="info",
-        component="fleet",
-        shards=config.fleet.n_shards,
-        beacons=stream.n_beacons,
-        offered_per_s=stream.offered_per_s,
-    )
-
-    errors: List[str] = []
-    untyped = 0
+    run = Run("fleet")
     migrations: List[Tuple[str, int]] = []
-    snapshots: Dict[str, List[SessionSnapshot]] = {}
-    tick_wall: List[float] = []
     tick_fixes: List[int] = []
 
-    for k, (t, scan_batch, imu_batch) in enumerate(stream.ticks, start=1):
-        if (config.migrate_at_tick is not None
-                and k == config.migrate_at_tick):
-            migrations = _migration_wave(fleet, config.migrate_stride)
-        fixes_before = obs.counts().get("fix.provenance", 0)
-        start = time.perf_counter()
-        try:
-            fleet.ingest_scans(scan_batch)
-            fleet.ingest_imu(imu_batch)
-            snaps = fleet.tick(t)
-        except ReproError as exc:
-            # Typed refusal: the fleet said no in its own vocabulary.
-            # Still a driver-visible failure (the contract is that data
-            # errors are absorbed *inside* the fleet), but a different
-            # defect class than an untyped escape — the chaos gate keys
-            # off exactly this split.
-            errors.append(f"{type(exc).__name__}: {exc}")
-            obs.emit("fleet.loadtest_typed_error", severity="warning",
-                     component="fleet", tick=k, error=type(exc).__name__)
-            continue
-        except Exception as exc:  # noqa: BLE001 — load tests record, not raise
-            errors.append(f"{type(exc).__name__}: {exc}")
-            untyped += 1
-            obs.emit("fleet.loadtest_untyped_error", severity="error",
-                     component="fleet", tick=k, error=type(exc).__name__)
-            continue
-        tick_wall.append(time.perf_counter() - start)
-        tick_fixes.append(obs.counts().get("fix.provenance", 0)
-                          - fixes_before)
-        for beacon_id, snap in snaps.items():
-            snapshots.setdefault(beacon_id, []).append(snap)
+    def step(t, scans, imu):
+        fleet.ingest_scans(scans)
+        fleet.ingest_imu(imu)
+        return fleet.tick(t)
 
-    wall_s = float(sum(tick_wall))
+    with observed() as sink:
+        obs.emit(
+            "fleet.loadtest_started",
+            severity="info",
+            component="fleet",
+            shards=config.fleet.n_shards,
+            beacons=stream.n_beacons,
+            offered_per_s=stream.offered_per_s,
+        )
+        for k, (t, scans, imu) in enumerate(stream.ticks, start=1):
+            if (config.migrate_at_tick is not None
+                    and k == config.migrate_at_tick):
+                migrations = _migration_wave(fleet, config.migrate_stride)
+            fixes_before = sink.count("fix.provenance")
+            if run.tick(t, step, scans, imu) is not None:
+                tick_fixes.append(sink.count("fix.provenance") - fixes_before)
+
+    wall_s = float(sum(run.tick_wall))
     fixes_total = int(sum(tick_fixes))
     latencies_ms = np.repeat(
-        np.asarray(tick_wall, dtype=float) * 1e3,
+        np.asarray(run.tick_wall, dtype=float) * 1e3,
         np.asarray(tick_fixes, dtype=int),
     )
     if latencies_ms.size:
@@ -208,8 +183,8 @@ def run_load_test(
         shed_samples=shed,
         wall_s=wall_s,
         migrations=tuple(migrations),
-        snapshots=snapshots,
-        errors=tuple(errors),
-        untyped_errors=untyped,
+        snapshots=run.snapshots,
+        errors=run.errors,
+        untyped_errors=run.untyped_errors,
         stats=stats,
     )

@@ -1,25 +1,17 @@
 """Gateway soak: concurrent hostile clients, one deterministic spine.
 
-This harness closes the loop the issue demands: a
-:class:`~repro.sim.load.LoadConfig` workload is partitioned across
+A :class:`~repro.sim.load.LoadConfig` workload is partitioned across
 ``n_clients`` :class:`~repro.gateway.client.SimulatedClient`\\ s, every
 outbound frame gets a seeded :class:`~repro.sim.faults.FrameFate` from a
-:class:`~repro.sim.faults.TransportFaultModel`, and the whole stream is
-pushed through a live :class:`~repro.gateway.IngestionGateway` tick by
-tick — clients misbehaving concurrently *within* a tick, the gateway
-draining deterministically *at* the tick.
-
-The acceptance contract is measured, not asserted by hope:
-
-* **zero untyped exceptions** — anything a client or serve task leaks
-  outside ``DataQualityError``/``ConfigurationError`` lands in
-  ``errors`` and fails :meth:`GatewaySoakResult.passed`;
-* **counter/event parity** — every ``gateway.*`` refusal/repair counter
-  must equal the ``n``-weighted volume of its same-named obs event over
-  the run (a run-scoped sink does the bookkeeping);
-* **record→replay bit-identity** — when recording, the trace is replayed
-  through a fresh gateway+fleet and each tick's snapshot digest must
-  match both the trace and the live run.
+:class:`~repro.sim.faults.TransportFaultModel`, and the stream is pushed
+through a live :class:`~repro.gateway.IngestionGateway` tick by tick on the
+:mod:`repro.sim.harness` skeleton: clients misbehave concurrently *within*
+a tick, the gateway drains deterministically *at* it.
+:attr:`GatewaySoakResult.passed` requires zero untyped exceptions (only
+``DataQualityError``/``ConfigurationError`` are typed; a dead gateway task
+is untyped), every tick committed, every ``gateway.*`` counter equal to its
+obs event volume over the run, and, when recording, identical live, trace
+and replay digests.
 """
 
 from __future__ import annotations
@@ -30,7 +22,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.errors import ConfigurationError, DataQualityError
 from repro.fleet import FleetConfig, TrackingFleet
 from repro.gateway.client import SimulatedClient
@@ -38,17 +29,15 @@ from repro.gateway.gateway import GatewayConfig, IngestionGateway
 from repro.gateway.trace import (
     ReplayResult,
     TraceWriter,
+    read_trace,
     replay,
-    snapshot_digest,
     trace_meta,
 )
 from repro.sim.faults import FrameFate, TransportFaultModel
+from repro.sim.harness import Run, first_divergence, observed
 from repro.sim.load import LoadConfig, generate_load
 
 __all__ = ["GatewaySoakConfig", "GatewaySoakResult", "run_gateway_soak"]
-
-#: Exception types the edge is *allowed* to surface to the driver.
-_TYPED = (DataQualityError, ConfigurationError)
 
 #: One client's schedule for one tick: ``[(frame, fate), ...]``.
 _TickSchedule = List[Tuple[Dict[str, Any], FrameFate]]
@@ -102,17 +91,27 @@ class GatewaySoakResult:
     errors: List[str] = field(default_factory=list)
     untyped_errors: int = 0
     #: Per-tick live snapshot digests (the replay comparison baseline).
-    tick_digests: List[str] = field(default_factory=list)
+    tick_digests: List[Optional[str]] = field(default_factory=list)
     trace_path: Optional[str] = None
     replay_result: Optional[ReplayResult] = None
+    #: First stream time at which the live digest stream differed from the
+    #: recorded trace's (a missing or extra tick counts); None if never.
+    divergence_t: Optional[float] = None
+
+    @property
+    def replay_identical(self) -> Optional[bool]:
+        """Live, trace and replay agree tick by tick (None: not checked)."""
+        if self.replay_result is None:
+            return None
+        return self.replay_result.identical and self.divergence_t is None
 
     @property
     def passed(self) -> bool:
-        """Zero untyped leaks, full parity, and (if recorded) bit-identity."""
-        replay_ok = (self.replay_result is None
-                     or self.replay_result.identical)
-        return (self.untyped_errors == 0 and not self.parity_failures
-                and replay_ok)
+        """Zero untyped leaks, every tick committed, full parity, and (if
+        recorded) bit-identity."""
+        return (self.untyped_errors == 0 and None not in self.tick_digests
+                and not self.parity_failures
+                and self.replay_identical is not False)
 
     def summary(self) -> Dict[str, Any]:
         return {
@@ -127,8 +126,8 @@ class GatewaySoakResult:
             "untyped_errors": self.untyped_errors,
             "parity_failures": list(self.parity_failures),
             "trace_path": self.trace_path,
-            "replay_identical": (None if self.replay_result is None
-                                 else self.replay_result.identical),
+            "replay_identical": self.replay_identical,
+            "divergence_t": self.divergence_t,
             "replay_mismatches": (None if self.replay_result is None
                                   else len(self.replay_result.mismatches)),
             "passed": self.passed,
@@ -179,27 +178,19 @@ def _build_schedules(
             seqs[0] += 1
         raw.append(per_client)
 
-    # Roll each client's whole fate script in one deterministic pass.
-    fates: List[List[FrameFate]] = []
-    for c in range(config.n_clients):
-        rng = np.random.default_rng((config.seed, 104729, c))
-        fates.append(config.transport.plan(rng, seqs[c]))
-    cursor = [0] * config.n_clients
-    schedules: List[List[_TickSchedule]] = []
-    for per_client in raw:
-        tick_sched: List[_TickSchedule] = []
-        for c, frames in enumerate(per_client):
-            sched: _TickSchedule = []
-            for frame in frames:
-                sched.append((frame, fates[c][cursor[c]]))
-                cursor[c] += 1
-            tick_sched.append(sched)
-        schedules.append(tick_sched)
+    # Roll each client's whole fate script in one deterministic pass; a
+    # frame's fate is the one at its per-client seq.
+    fates = [config.transport.plan(
+        np.random.default_rng((config.seed, 104729, c)), seqs[c])
+        for c in range(config.n_clients)]
+    schedules = [[[(frame, fates[c][frame["seq"]]) for frame in frames]
+                  for c, frames in enumerate(per_client)]
+                 for per_client in raw]
     return tick_times, schedules, stream.offered_samples
 
 
 async def _drive(
-    config: GatewaySoakConfig, result: GatewaySoakResult
+    config: GatewaySoakConfig, result: GatewaySoakResult, run: Run
 ) -> None:
     tick_times, schedules, offered = _build_schedules(config)
     result.offered_samples = offered
@@ -231,13 +222,8 @@ async def _drive(
             )
             for outcome in outcomes:
                 if isinstance(outcome, BaseException):
-                    result.errors.append(
-                        f"{type(outcome).__name__}: {outcome}")
-                    if not isinstance(outcome, _TYPED):
-                        result.untyped_errors += 1
-            snapshots = gateway.tick(t)
-            result.ticks += 1
-            result.tick_digests.append(snapshot_digest(snapshots))
+                    run.catch(outcome, t)
+            run.tick(t, gateway.tick)
         for client in clients:
             await client.close()
         await gateway.drain_clients()
@@ -247,8 +233,7 @@ async def _drive(
             gateway.tap = None
 
     for name in sorted(gateway.task_errors):
-        result.errors.append(f"gateway task: {name}")
-        result.untyped_errors += 1
+        run.fail(f"gateway task: {name}")
     result.delivered_samples = sum(c.stats.taken for c in clients)
     result.fleet_sessions = gateway.fleet.total_sessions
     stats = gateway.stats()
@@ -267,26 +252,26 @@ def run_gateway_soak(config: GatewaySoakConfig) -> GatewaySoakResult:
     ``record_path`` was given and ``replay_check`` is on.
     """
     result = GatewaySoakResult()
-    sink = obs.add_sink(obs.CountingSink())
-    try:
-        asyncio.run(_drive(config, result))
-    finally:
-        obs.remove_sink(sink)
+    # The edge may surface only these; any other exception is untyped.
+    run = Run("gateway", allowed=(DataQualityError, ConfigurationError))
+    with observed() as sink:
+        asyncio.run(_drive(config, result, run))
     result.event_volumes = sink.counts()
+    result.ticks = len(run.digests)
+    result.tick_digests = [digest for _, digest in run.digests]
+    result.errors = list(run.errors)
+    result.untyped_errors = run.untyped_errors
 
     for name, count in sorted(result.gateway_counters.items()):
         if result.event_volumes.get(f"gateway.{name}", 0) != count:
             result.parity_failures.append(name)
 
     if config.record_path is not None and config.replay_check:
-        replay_result = replay(config.record_path)
-        # The trace's own per-tick digests were checked inside replay();
-        # cross-check the live run's digest stream too, so live, trace
-        # and replay all agree.
-        if (replay_result.identical
-                and replay_result.ticks != len(result.tick_digests)):
-            replay_result.mismatches.append(
-                (-1, float("nan"), f"{len(result.tick_digests)} live ticks",
-                 f"{replay_result.ticks} replayed"))
-        result.replay_result = replay_result
+        # replay() checks the trace's per-tick digests against a fresh
+        # run; checking the live run's digests against the trace too
+        # makes live, trace and replay all agree.
+        result.replay_result = replay(config.record_path)
+        _, records = read_trace(config.record_path)
+        result.divergence_t = first_divergence(
+            run.digests, [(float(r["t"]), r.get("snap")) for r in records])
     return result

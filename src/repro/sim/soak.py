@@ -1,35 +1,17 @@
 """Long-horizon soak testing of the streaming tracking service.
 
-The robustness claims of :mod:`repro.service` are *temporal*: a session must
-ride out minutes of bursty loss and whole scan outages, a checkpoint taken
-mid-stream must resume bit-identically, and nothing in the stack may ever
-throw an untyped exception at the supervisor. None of that is visible in a
-single-batch test — it needs hours-equivalent of simulated stream time with
-faults injected, which is what this harness provides::
-
-    from repro.sim.faults import FaultModel
-    from repro.sim.soak import SoakConfig, run_soak
-
-    result = run_soak(SoakConfig(
-        duration_s=300.0,
-        fault=FaultModel(loss_rate=0.3, n_outages=2, outage_s=60.0),
-        checkpoint_t=150.0,
-    ))
-    assert result.untyped_errors == 0 and result.checkpoint_equal
-
-The harness simulates one long multi-leg walk, degrades each beacon's trace
-through :class:`~repro.sim.faults.FaultModel`, and replays the stream into a
-:class:`~repro.service.TrackingService` tick by tick. With ``checkpoint_t``
-set it additionally performs a *kill-and-resume*: the service is
-checkpointed at that stream time (through a JSON round trip, i.e. exactly
-what a process restart would read back from disk), a fresh service is
-restored from it, and both the uninterrupted original and the resumed copy
-replay the remaining stream — every tick's
-:func:`~repro.service.session.snapshot_digest` must match, the same
-contract the gateway soak and the chaos harness judge by.
-
-Everything is seeded and deterministic; ``python -m repro soak`` wraps this
-module for the command line.
+The service's robustness claims are temporal: a session must ride out
+minutes of bursty loss and whole scan outages, a mid-stream checkpoint must
+resume bit-identically, and nothing may ever throw an untyped exception.
+This harness simulates one long multi-leg walk, degrades each beacon's
+trace through :class:`~repro.sim.faults.FaultModel` and replays the stream
+into a :class:`~repro.service.TrackingService` tick by tick on the
+:mod:`repro.sim.harness` skeleton. With ``checkpoint_t`` set it also kills
+the service there and resumes it from a JSON round trip of its checkpoint
+(exactly what a restarting process reads back from disk); every later
+tick's snapshot digest must match the uninterrupted run's. Everything is
+seeded; ``python -m repro soak`` wraps it, and ``docs/streaming.md`` shows
+its use.
 """
 
 from __future__ import annotations
@@ -41,11 +23,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import obs
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
 from repro.service import ServiceConfig, TrackingService
-from repro.service.session import SessionSnapshot, snapshot_digest
+from repro.service.session import SessionSnapshot
 from repro.sim.faults import FaultModel
+from repro.sim.harness import Run, first_divergence, observed
 from repro.sim.simulator import BeaconSpec, MeasurementRecord, Simulator
 from repro.types import ImuSample, RssiSample, Vec2
 from repro.world.scenarios import scenario
@@ -104,10 +86,9 @@ class SoakResult:
     counters: Dict[str, int]
     #: Final :meth:`TrackingService.stats` of the uninterrupted run.
     stats: Dict[str, object]
-    #: ``"ExcType: message"`` for every exception the stream driver caught.
+    #: ``"ExcType: message"`` per caught exception, and how many were
+    #: untyped (not a ``ReproError``; by contract always zero).
     errors: Tuple[str, ...]
-    #: How many of those were *untyped* (not a :class:`ReproError`) — the
-    #: service's contract is that this is always zero.
     untyped_errors: int
     #: Kill-and-resume verdict: ``None`` when no checkpoint was requested,
     #: else whether the resumed run matched the uninterrupted one exactly.
@@ -121,6 +102,11 @@ class SoakResult:
     events: Dict[str, int] = field(default_factory=dict)
     #: Where the JSON-lines event log was written (None when not requested).
     events_jsonl: Optional[str] = None
+
+    @property
+    def passed(self) -> bool:
+        """No untyped error, and a requested resume did not diverge."""
+        return self.untyped_errors == 0 and self.checkpoint_equal is not False
 
     def states_visited(self, beacon_id: str) -> List[str]:
         """Distinct session states in first-visit order (incl. the start)."""
@@ -243,92 +229,46 @@ def _build_stream(config: SoakConfig):
     return slice_ticks(scans, imu, config.duration_s, config.tick_s)
 
 
-def _drive(
-    service: TrackingService,
-    ticks,
-    caught: List[Tuple[str, bool]],
-) -> Tuple[Dict[str, List[SessionSnapshot]], List[Tuple[float, Optional[str]]]]:
-    """Replay ingest batches into a service, capturing every exception.
+def _feed(run: Run, service: TrackingService, ticks) -> None:
+    def step(t, scans, imu):
+        service.ingest_scans(scans)
+        service.ingest_imu(imu)
+        return service.tick_batch(t)
 
-    The service's contract is to *never* raise on data; anything caught
-    here is recorded as a soak failure rather than aborting the run, so a
-    single bug cannot hide later ones. Each is classified as it is caught:
-    ``("ExcType: message", typed)`` goes to ``caught``. Returns the
-    per-beacon snapshot sequences and one ``(t, snapshot_digest)`` per
-    tick (digest ``None`` for a tick that raised).
-    """
-    out: Dict[str, List[SessionSnapshot]] = {}
-    digests: List[Tuple[float, Optional[str]]] = []
-    for t, scan_batch, imu_batch in ticks:
-        try:
-            service.ingest_scans(scan_batch)
-            service.ingest_imu(imu_batch)
-            snaps = service.tick_batch(t)
-        except Exception as exc:  # noqa: BLE001 — the whole point of a soak
-            caught.append((f"{type(exc).__name__}: {exc}",
-                           isinstance(exc, ReproError)))
-            digests.append((t, None))
-            continue
-        digests.append((t, snapshot_digest(snaps)))
-        for beacon_id, snap in snaps.items():
-            out.setdefault(beacon_id, []).append(snap)
-    return out, digests
+    for t, scans, imu in ticks:
+        run.tick(t, step, scans, imu)
 
 
 def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
     """Run one seeded soak experiment; see the module docstring.
 
-    The whole run is observed through run-scoped :mod:`repro.obs` sinks: a
-    counting sink whose n-weighted per-event-name totals land in
-    :attr:`SoakResult.events`, and (with ``events_jsonl`` set) a durable
-    JSON-lines log for ``python -m repro obs report``.
+    The whole run is observed through run-scoped :mod:`repro.obs` sinks
+    (:func:`~repro.sim.harness.observed`): the n-weighted per-event-name
+    totals land in :attr:`SoakResult.events`, and (with ``events_jsonl``
+    set) a durable JSON-lines log is written for ``python -m repro obs
+    report``.
     """
     config = config or SoakConfig()
     ticks = _build_stream(config)
-    caught: List[Tuple[str, bool]] = []
-
-    counting = obs.add_sink(obs.CountingSink())
-    jsonl: Optional[obs.JsonLinesSink] = None
-    if config.events_jsonl is not None:
-        jsonl = obs.add_sink(obs.JsonLinesSink(config.events_jsonl))
-    try:
-        return _run_soak_observed(config, ticks, caught, counting)
-    finally:
-        obs.remove_sink(counting)
-        if jsonl is not None:
-            obs.remove_sink(jsonl)
-            jsonl.close()
-
-
-def _run_soak_observed(
-    config: SoakConfig,
-    ticks,
-    caught: List[Tuple[str, bool]],
-    counting: "obs.CountingSink",
-) -> SoakResult:
-    service = TrackingService(config.service)
+    run = Run("soak")
     checkpoint_equal: Optional[bool] = None
     divergence_t: Optional[float] = None
-    if config.checkpoint_t is not None:
-        cut = next(
-            (i for i, (t, _, _) in enumerate(ticks)
-             if t >= config.checkpoint_t),
-            len(ticks) - 1,
-        )
-        head, tail = ticks[: cut + 1], ticks[cut + 1:]
-        snapshots, _ = _drive(service, head, caught)
-        # The kill: what a restarting process would read back from disk.
-        checkpoint_json = json.dumps(service.checkpoint())
-        tail_snaps, original = _drive(service, tail, caught)
-        for beacon_id, snaps in tail_snaps.items():
-            snapshots.setdefault(beacon_id, []).extend(snaps)
-        resumed = TrackingService.restore(json.loads(checkpoint_json))
-        _, replayed = _drive(resumed, tail, caught)
-        divergence_t = next(
-            (a[0] for a, b in zip(original, replayed) if a != b), None)
-        checkpoint_equal = divergence_t is None
-    else:
-        snapshots, _ = _drive(service, ticks, caught)
+    cut = (len(ticks) if config.checkpoint_t is None else 1 + next(
+        (i for i, (t, _, _) in enumerate(ticks) if t >= config.checkpoint_t),
+        len(ticks) - 1))
+    with observed(config.events_jsonl) as sink:
+        service = TrackingService(config.service)
+        _feed(run, service, ticks[:cut])
+        if config.checkpoint_t is not None:
+            # The kill: what a restarting process would read back from disk.
+            checkpoint_json = json.dumps(service.checkpoint())
+            _feed(run, service, ticks[cut:])
+            resumed = run.fork()
+            resumed_service = TrackingService.restore(
+                json.loads(checkpoint_json))
+            _feed(resumed, resumed_service, ticks[cut:])
+            divergence_t = first_divergence(run.digests[cut:], resumed.digests)
+            checkpoint_equal = divergence_t is None
 
     t_end = ticks[-1][0] if ticks else 0.0
     transitions = {
@@ -343,16 +283,16 @@ def _run_soak_observed(
     return SoakResult(
         duration_s=config.duration_s,
         ticks=len(ticks),
-        snapshots=snapshots,
+        snapshots=run.snapshots,
         transitions=transitions,
         dwell=dwell,
         counters=dict(stats["counters"]),
         stats=stats,
-        errors=tuple(message for message, _ in caught),
-        untyped_errors=sum(1 for _, typed in caught if not typed),
+        errors=run.errors,
+        untyped_errors=run.untyped_errors,
         checkpoint_equal=checkpoint_equal,
         divergence_t=divergence_t,
-        events=dict(sorted(counting.counts().items())),
+        events=dict(sorted(sink.counts().items())),
         events_jsonl=config.events_jsonl,
     )
 

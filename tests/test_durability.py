@@ -356,5 +356,8 @@ class TestChaosSmoke:
             workdir=str(tmp_path))
         assert result.passed, result.to_dict()
         assert result.kill_ticks and result.recoveries
+        # Each injected shard crash restarts its shard once, also when the
+        # process that restarted it is killed later.
+        assert result.shard_restarts == len(result.shard_crash_ticks) == 1
         assert result.replay_identical is True
         assert result.segment_traces_readable is True

@@ -142,3 +142,52 @@ def test_result_summary_is_json_safe(tmp_path):
     ))
     assert isinstance(result, GatewaySoakResult)
     json.dumps(result.summary())
+
+
+def test_live_run_longer_than_its_trace_fails(tmp_path, monkeypatch):
+    """The live digest stream is compared with the trace tick by tick; a
+    live tick missing from the trace is a divergence, not a pass."""
+    import repro.gateway.soak as gateway_soak
+
+    read_trace = gateway_soak.read_trace
+
+    def drop_last_tick(path, **kw):
+        meta, records = read_trace(path, **kw)
+        return meta, records[:-1]
+
+    monkeypatch.setattr(gateway_soak, "read_trace", drop_last_tick)
+    result = run_gateway_soak(soak_config(
+        tmp_path, transport=TransportFaultModel(),
+        load=LoadConfig(duration_s=4.0, n_beacons=3, template_beacons=2,
+                        rate_hz=3.0, seed=7),
+    ))
+    assert result.replay_result is not None
+    assert result.replay_result.identical  # replay() read the whole trace
+    assert result.divergence_t == 4.0      # the live run's last tick
+    assert result.replay_identical is False and not result.passed
+    assert result.summary()["divergence_t"] == 4.0
+
+
+def test_a_tick_that_raises_fails_even_when_typed(monkeypatch):
+    """A raising gateway tick is recorded (typed here) and the run goes on,
+    but a tick that committed nothing still fails the soak."""
+    from repro.errors import ConfigurationError
+    from repro.gateway import IngestionGateway
+
+    tick = IngestionGateway.tick
+
+    def flaky(self, t):
+        if t == 2.0:
+            raise ConfigurationError("scripted")
+        return tick(self, t)
+
+    monkeypatch.setattr(IngestionGateway, "tick", flaky)
+    result = run_gateway_soak(soak_config(
+        transport=TransportFaultModel(),
+        load=LoadConfig(duration_s=4.0, n_beacons=3, template_beacons=2,
+                        rate_hz=3.0, seed=7),
+    ))
+    assert result.errors == ["ConfigurationError: scripted"]
+    assert result.untyped_errors == 0
+    assert result.ticks == 4 and result.tick_digests[1] is None
+    assert not result.passed

@@ -471,15 +471,16 @@ def _chaos_cycle(monkeypatch):
         for name, n in obj.counters.items():
             key = prefix[type(obj)] + name
             local[key] = local.get(key, 0) + n
-    return None, local, ("gateway.", "durability.", "supervisor.")
+    return result.events, local, ("gateway.", "durability.", "supervisor.")
 
 
 class TestTelemetryInvariant:
     """Counters are a view over events, so parity holds by construction.
 
-    For each harness: the n-weighted volume per event name in a run-scoped
-    JSON-lines log (as ``obs report`` sums it) equals the run's
-    ``obs.counts()`` delta, and that delta equals the harness's own local
+    For each harness: the n-weighted volume per event name in a JSON-lines
+    log of the run (as ``obs report`` sums it) and in the harness's own
+    run-scoped sink equals the run's ``obs.counts()`` delta, and that delta
+    equals the harness's own local
     counters — exactly, over whole event families where the harness owns
     the family.
     """
@@ -508,8 +509,7 @@ class TestTelemetryInvariant:
         records, malformed = load_events(path)
         assert malformed == 0
         assert summarize_events(records)["by_name"] == delta
-        if run_scoped is not None:
-            assert run_scoped == delta
+        assert run_scoped == delta
         for name, n in local.items():
             assert delta.get(name, 0) == n, name
         owned = {name for name in delta if name.startswith(families)}

@@ -210,5 +210,5 @@ class TestSoakVerdicts:
                                        fault=FaultModel(loss_rate=0.1)))
         assert sorted(result.snapshots) == ["b0", "b1"]
         assert result.errors == ()
-        assert result.checkpoint_equal is False
+        assert result.checkpoint_equal is False and not result.passed
         assert result.divergence_t == 12.0  # tail ticks are 11, 12, ...
